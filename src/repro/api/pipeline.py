@@ -411,7 +411,7 @@ class Pipeline:
         return result
 
     def evaluate_batch(
-        self, requests: Sequence[EvaluationRequest], engine: str = "auto"
+        self, requests: Sequence[EvaluationRequest]
     ) -> List[FactoryEvaluation]:
         """Evaluate many requests, batching the cache-missing simulations.
 
@@ -420,9 +420,8 @@ class Pipeline:
         not answered by the :class:`~repro.api.store.ResultStore` or the
         :class:`~repro.routing.simulator.SimulationCache` are executed in
         one :func:`~repro.routing.batchsim.simulate_batch` call, which
-        groups same-circuit points and advances them together through the
-        vectorized (or compiled) batched engine.  ``engine`` is forwarded
-        to :func:`~repro.routing.batchsim.simulate_batch`.
+        groups same-circuit points and shares their preparation (compiled
+        kernel when available, per-point ``simulate`` otherwise).
         """
         # Imported lazily, like the other analysis/routing consumers above.
         from ..routing.batchsim import simulate_batch
@@ -492,7 +491,7 @@ class Pipeline:
             return results  # type: ignore[return-value]
 
         batch_started = time.perf_counter()
-        batch_results = simulate_batch(points, engine=engine)
+        batch_results = simulate_batch(points)
         batch_seconds = time.perf_counter() - batch_started
         self.stats.sim_seconds += batch_seconds
         batch_share = batch_seconds / len(points)

@@ -840,11 +840,12 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
     available engine (``scalar`` reference, ``vector``, ``compiled``) on
     the L2 K=16 factory graph (L1 K=4 under ``--smoke``) and drives each
     through the *same* deterministic sequence of annealer-shaped
-    operations — single-move applies, apply+revert pairs, and chunked
-    ``evaluate_many`` batches.  Full tracker state (crossings, lengths,
-    spacing sum, combined cost, positions) is asserted byte-identical
-    across engines at the end; the record carries per-engine wall time
-    and the speedup of each engine over the scalar reference.
+    operations — single-move applies, apply+revert pairs, and runs of
+    pure ``evaluate`` proposals.  Every proposal's delta and the full
+    tracker state (crossings, lengths, spacing sum, combined cost,
+    positions) are asserted byte-identical across engines at the end; the
+    record carries per-engine wall time and the speedup of each engine
+    over the scalar reference.
     """
     import random as _random
 
@@ -865,7 +866,7 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
 
     # Pre-generate the operation sequence once so every engine replays the
     # identical workload (roughly annealer-shaped: mostly kept moves, some
-    # rejected ones, occasional batched proposal evaluation).
+    # rejected ones, occasional runs of evaluated-only proposals).
     rng = _random.Random(seed)
     vertices = sorted(graph.nodes(), key=str)
     max_row = max(row for row, _ in positions.values()) + 1.0
@@ -896,6 +897,7 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
     for engine in tracker_engines():
         tick = time.perf_counter()
         tracker = MappingCostTracker(graph, dict(positions), engine=engine)
+        deltas = []
         for op, payload in ops:
             if op == "apply":
                 tracker.apply(payload)
@@ -903,9 +905,10 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
                 tracker.apply(payload)
                 tracker.revert_last()
             else:
-                tracker.evaluate_many(payload)
+                deltas.extend(tracker.evaluate(updates) for updates in payload)
         timings[engine] = time.perf_counter() - tick
         states[engine] = (
+            deltas,
             tracker.crossings,
             tracker.total_edge_length,
             tracker.total_weighted_length,
@@ -1099,16 +1102,12 @@ def _bench_sim_batch(args: argparse.Namespace) -> Dict[str, Any]:
     agree field-for-field on ``to_dict()``.  Wall times are
     best-of-``repeats``; the headline ``speedup`` is the loop total over
     the batched total.  The record names the batched engine actually used
-    (``compiled``/``vector``/``scalar``) so cross-machine records stay
+    (``compiled``/``scalar``) so cross-machine records stay
     interpretable.
     """
     from .mapping import random_circuit_placement
     from .routing import SimulatorConfig, simulate
-    from .routing.batchsim import (
-        kernel_available,
-        numpy_available,
-        simulate_batch,
-    )
+    from .routing.batchsim import kernel_available, simulate_batch
     from .routing.simulator import _gate_list
 
     capacity, levels = (4, 1) if args.smoke else (16, 2)
@@ -1152,11 +1151,7 @@ def _bench_sim_batch(args: argparse.Namespace) -> Dict[str, Any]:
             f"sim-batch: batched engine diverged from the per-point engine "
             f"on {mismatched} of {len(points)} points"
         )
-    engine = (
-        "compiled"
-        if kernel_available()
-        else ("vector" if numpy_available() else "scalar")
-    )
+    engine = "compiled" if kernel_available() else "scalar"
     return {
         "experiment": SIM_BATCH_BENCH,
         "params": {

@@ -690,9 +690,6 @@ class _ScalarTrackerEngine:
             newrows.append(_treefold_list(dists, self._pad))
         return newrows, old_cross, new_cross
 
-    def eval_many(self, moves):
-        return [self.eval(*move) for move in moves]
-
     def flush(self, changed, new_ends, new_mids):
         """Fold a committed move into the geometry, grid and R cache."""
         mid = self._mid
@@ -870,9 +867,6 @@ class _VectorTrackerEngine:
         dists[:, list(changed)] = 0.0
         newrows = [float(value) for value in self._fold_rows(dists)]
         return newrows, old_cross, new_cross
-
-    def eval_many(self, moves):
-        return [self.eval(*move) for move in moves]
 
     def flush(self, changed, new_ends, new_mids):
         mid = self._mid
@@ -1054,43 +1048,6 @@ class _CompiledTrackerEngine:
             int(self._cross_buf[1]),
         )
 
-    def eval_many(self, moves):
-        if not moves:
-            return []
-        n = len(moves)
-        offsets = [0]
-        changed_flat: List[int] = []
-        seg_rows: List[Tuple[float, float, float, float]] = []
-        mid_rows: List[Position] = []
-        for changed, new_ends, new_mids in moves:
-            changed_flat.extend(changed)
-            seg_rows.extend((p[0], p[1], q[0], q[1]) for p, q in new_ends)
-            mid_rows.extend(new_mids)
-            offsets.append(len(changed_flat))
-        total = len(changed_flat)
-        koff = _np.asarray(offsets, dtype=_np.int64)
-        changed_arr = _np.asarray(changed_flat, dtype=_np.int64)
-        seg_arr = _np.asarray(seg_rows, dtype=float).reshape(total, 4)
-        mid_arr = _np.asarray(mid_rows, dtype=float).reshape(total, 2)
-        newrow = _np.zeros(max(total, 1), dtype=float)
-        cross = _np.zeros(2 * n, dtype=_np.int64)
-        self._kern.eval_moves(
-            self._ip_p, self._bucket, n,
-            koff.ctypes.data, changed_arr.ctypes.data,
-            seg_arr.ctypes.data, mid_arr.ctypes.data,
-            self._seg_p, self._mid_p, self._eu_p, self._ev_p,
-            self._crossC_p, self._cflag_p,
-            self._cc_p, self._ci_p, self._stamp_p, self._gen_p,
-            self._scratch_p, newrow.ctypes.data, cross.ctypes.data,
-        )
-        results = []
-        for v in range(n):
-            lo, hi = offsets[v], offsets[v + 1]
-            results.append(
-                (newrow[lo:hi].tolist(), int(cross[2 * v]), int(cross[2 * v + 1]))
-            )
-        return results
-
     def flush(self, changed, new_ends, new_mids):
         k = self._stage(changed, new_ends, new_mids)
         status = self._kern.commit(
@@ -1130,8 +1087,7 @@ class MappingCostTracker:
     O(m^2) per recompute.
 
     An annealer's dominant path is *propose, inspect, reject*: use
-    :meth:`evaluate` (pure) plus :meth:`commit_evaluated`, or the batched
-    :meth:`evaluate_many` for a whole sweep of independent proposals.
+    :meth:`evaluate` (pure) plus :meth:`commit_evaluated`.
     :meth:`apply` keeps the historical move-then-revert protocol:
     :meth:`revert_last` restores the pre-move state exactly and in O(1),
     because the heavy geometry updates are deferred until the *next*
@@ -1408,36 +1364,6 @@ class MappingCostTracker:
             moves, moved_from, changed, (new_ends, new_mids, sums_after, cost_after)
         )
         return delta
-
-    def evaluate_many(
-        self, updates_list: Sequence[Mapping[int, Position]]
-    ) -> List[float]:
-        """Cost deltas of independent proposals against the current state.
-
-        Every proposal is evaluated as if applied alone (none is
-        committed); the compiled engine folds the whole batch into one
-        kernel call.  Bit-identical to calling :meth:`evaluate` per item.
-        """
-        self._flush_pending()
-        deltas = [0.0] * len(updates_list)
-        engine_moves = []
-        slots = []
-        for slot, updates in enumerate(updates_list):
-            moves, _, changed = self._prepare(updates)
-            if moves and changed:
-                new_ends, new_mids = self._geometry_for(moves, changed)
-                engine_moves.append((changed, new_ends, new_mids))
-                slots.append(slot)
-        if engine_moves:
-            results = self._engine.eval_many(engine_moves)
-            for slot, move, result in zip(slots, engine_moves, results):
-                changed, new_ends, new_mids = move
-                newrows, old_cross, new_cross = result
-                delta, _, _ = self._assemble_delta(
-                    changed, new_ends, new_mids, newrows, old_cross, new_cross
-                )
-                deltas[slot] = delta
-        return deltas
 
     def commit_evaluated(self) -> None:
         """Make the last :meth:`evaluate` move the committed state.

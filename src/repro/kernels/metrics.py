@@ -57,9 +57,6 @@ class MetricsKernel:
         self.eval = lib.mc_eval
         self.eval.restype = None
         self.eval.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16
-        self.eval_moves = lib.mc_eval_moves
-        self.eval_moves.restype = None
-        self.eval_moves.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 17
         self.commit = lib.mc_commit
         self.commit.restype = _i64
         self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16

@@ -392,15 +392,14 @@ static int64_t cross_intra(const double *segs, const int64_t *changed,
  * arithmetic, identical to re-scanning the old segments.  The caller
  * assembles the cost delta from these plus R (old rows) and the tiny
  * intra-changed midpoint terms, identically across engines. */
-static void eval_move(const int64_t *ip, double bucket, int64_t k,
-                      const int64_t *changed, const double *newseg,
-                      const double *newmid, const double *seg,
-                      const double *mid, const int64_t *eu,
-                      const int64_t *ev, const int64_t *crossC,
-                      int64_t *cflag,
-                      const int64_t *cell_count, const int64_t *cell_items,
-                      int64_t *stamp, int64_t *gen, double *scratch,
-                      double *newrow_out, int64_t *cross_out) {
+void mc_eval(const int64_t *ip, double bucket, int64_t k,
+             const int64_t *changed, const double *newseg,
+             const double *newmid, const double *seg, const double *mid,
+             const int64_t *eu, const int64_t *ev,
+             const int64_t *crossC, int64_t *cflag,
+             const int64_t *cell_count,
+             const int64_t *cell_items, int64_t *stamp, int64_t *gen,
+             double *scratch, double *newrow_out, int64_t *cross_out) {
     int64_t m = ip[0], pad = ip[1];
     int64_t t, u, j;
     int64_t old_crossings = 0, new_crossings = 0;
@@ -442,44 +441,6 @@ static void eval_move(const int64_t *ip, double bucket, int64_t k,
             scratch[changed[u]] = 0.0;
         }
         newrow_out[t] = treefold(scratch, m, pad);
-    }
-}
-
-void mc_eval(const int64_t *ip, double bucket, int64_t k,
-             const int64_t *changed, const double *newseg,
-             const double *newmid, const double *seg, const double *mid,
-             const int64_t *eu, const int64_t *ev,
-             const int64_t *crossC, int64_t *cflag,
-             const int64_t *cell_count,
-             const int64_t *cell_items, int64_t *stamp, int64_t *gen,
-             double *scratch, double *newrow_out, int64_t *cross_out) {
-    eval_move(ip, bucket, k, changed, newseg, newmid, seg, mid, eu, ev,
-              crossC, cflag, cell_count, cell_items, stamp, gen, scratch,
-              newrow_out, cross_out);
-}
-
-/* Bulk twin of mc_eval: n independent moves against the same committed
- * state, flattened via the prefix offsets koff[n+1] (one library call per
- * annealer sweep chunk). */
-void mc_eval_moves(const int64_t *ip, double bucket, int64_t n,
-                   const int64_t *koff, const int64_t *changed_flat,
-                   const double *newseg_flat, const double *newmid_flat,
-                   const double *seg, const double *mid,
-                   const int64_t *eu, const int64_t *ev,
-                   const int64_t *crossC, int64_t *cflag,
-                   const int64_t *cell_count,
-                   const int64_t *cell_items, int64_t *stamp, int64_t *gen,
-                   double *scratch, double *newrow_flat,
-                   int64_t *cross_flat) {
-    int64_t v;
-    for (v = 0; v < n; v++) {
-        int64_t start = koff[v];
-        int64_t k = koff[v + 1] - start;
-        eval_move(ip, bucket, k, changed_flat + start,
-                  newseg_flat + 4 * start, newmid_flat + 2 * start,
-                  seg, mid, eu, ev, crossC, cflag, cell_count, cell_items,
-                  stamp, gen, scratch, newrow_flat + start,
-                  cross_flat + 2 * v);
     }
 }
 

@@ -6,13 +6,14 @@ a shared library and loaded via :mod:`ctypes`; the library is cached on
 disk keyed by a hash of the source text and the compile flags, so
 recompilation only happens when either changes.
 
-Everything degrades gracefully: no compiler, no writable cache
-directory, or a failed compile simply reports the kernel as unavailable
-and callers stay on the pure-Python engines.  Environment knobs (shared
-by all kernels):
+Everything degrades gracefully but loudly: no compiler, no writable
+cache directory, or a failed compile or load reports the kernel as
+unavailable, callers stay on the pure-Python engines, and the loader
+emits one :class:`RuntimeWarning` per kernel per process naming the
+kernel and the reason.  Environment knobs (shared by all kernels):
 
-* ``REPRO_NO_KERNEL=1`` disables every kernel outright (tests use it to
-  pin the Python paths);
+* ``REPRO_NO_KERNEL=1`` disables every kernel outright, without a
+  warning (a deliberate opt-out; tests use it to pin the Python paths);
 * ``REPRO_KERNEL_CACHE`` overrides the cache directory (default:
   ``_kernel_cache/`` beside the source, falling back to a per-user temp
   directory when that is not writable);
@@ -35,6 +36,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import warnings
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 
@@ -63,6 +65,10 @@ def _cache_dirs(source_path: str) -> Iterator[str]:
     )
 
 
+class _KernelUnavailable(Exception):
+    """Why a kernel could not be built or loaded (the warning's reason)."""
+
+
 class KernelLoader:
     """Compile-and-load manager for one C kernel source.
 
@@ -70,7 +76,8 @@ class KernelLoader:
     path) into the kernel's typed Python interface; what :meth:`load`
     caches and returns is the facade instance.  The load attempt runs at
     most once per process (per :meth:`reset`), under a lock, so racing
-    threads converge on one compile.
+    threads converge on one compile.  A failed attempt warns once per
+    loader for the life of the process, even across resets.
     """
 
     def __init__(
@@ -87,6 +94,7 @@ class KernelLoader:
         self._lock = threading.Lock()
         self._cached: Optional[Any] = None
         self._tried = False
+        self._warned = False
 
     # ------------------------------------------------------------------
     # Compilation
@@ -94,10 +102,11 @@ class KernelLoader:
     def _all_extra_cflags(self) -> list:
         return list(self._base_cflags) + extra_cflags()
 
-    def _compile(self, digest: str) -> Optional[str]:
+    def _compile(self, digest: str) -> str:
+        """Path of the built library; raises :class:`_KernelUnavailable`."""
         compiler = compiler_path()
         if compiler is None:
-            return None
+            raise _KernelUnavailable("no C compiler found (set CC)")
         for cache_dir in _cache_dirs(self.source_path):
             so_path = os.path.join(cache_dir, f"{self.stem}_{digest}.so")
             if os.path.exists(so_path):
@@ -117,27 +126,29 @@ class KernelLoader:
                     timeout=120,
                 )
                 if proc.returncode != 0:
-                    return None
+                    detail = proc.stderr.decode("utf-8", "replace").strip()
+                    raise _KernelUnavailable(
+                        f"{compiler} exited with status {proc.returncode}"
+                        + (f": {detail.splitlines()[0]}" if detail else "")
+                    )
                 os.replace(tmp_path, so_path)  # atomic: racing builds converge
                 return so_path
-            except (OSError, subprocess.SubprocessError):
-                return None
+            except (OSError, subprocess.SubprocessError) as error:
+                raise _KernelUnavailable(f"{compiler} failed to run: {error}")
             finally:
                 if os.path.exists(tmp_path):
                     try:
                         os.unlink(tmp_path)
                     except OSError:
                         pass
-        return None
+        raise _KernelUnavailable("no writable kernel cache directory")
 
-    def _try_load(self) -> Optional[Any]:
-        if os.environ.get("REPRO_NO_KERNEL"):
-            return None
+    def _build_and_load(self) -> Any:
         try:
             with open(self.source_path, "rb") as handle:
                 source = handle.read()
-        except OSError:
-            return None
+        except OSError as error:
+            raise _KernelUnavailable(f"cannot read the source: {error}")
         # The cache digest covers the source AND every non-default flag
         # (per-kernel base flags plus REPRO_KERNEL_CFLAGS): a sanitizer
         # build must not be served the plain cached .so (or vice versa).
@@ -146,11 +157,25 @@ class KernelLoader:
         hasher.update(" ".join(self._all_extra_cflags()).encode("utf-8"))
         digest = hasher.hexdigest()[:16]
         so_path = self._compile(digest)
-        if so_path is None:
-            return None
         try:
             return self._facade(ctypes.CDLL(so_path), so_path)
-        except OSError:
+        except OSError as error:
+            raise _KernelUnavailable(f"cannot load {so_path}: {error}")
+
+    def _try_load(self) -> Optional[Any]:
+        if os.environ.get("REPRO_NO_KERNEL"):
+            return None
+        try:
+            return self._build_and_load()
+        except _KernelUnavailable as reason:
+            if not self._warned:
+                self._warned = True
+                warnings.warn(
+                    f"{self.stem} kernel unavailable ({reason}); "
+                    f"using the pure-Python path",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
             return None
 
     # ------------------------------------------------------------------

@@ -515,12 +515,6 @@ def _step_toward(force: Vector, max_step: int = 1) -> Tuple[int, int]:
     return component(force[0]), component(force[1])
 
 
-#: Proposals per batched tracker evaluation inside a sweep.  Chunking keeps
-#: the waste bounded when an accepted move invalidates the rest of the batch
-#: (at most one chunk of evaluations is discarded per sweep).
-_PROPOSAL_CHUNK = 64
-
-
 def force_directed_refine(
     graph: nx.Graph,
     initial: Placement,
@@ -568,74 +562,13 @@ def force_directed_refine(
         improved_any = False
         stats.sweeps += 1
 
-        # Generate the sweep's candidate moves up front from the sweep-start
-        # placement.  Forces are per-sweep anyway; targets, bounds checks and
-        # occupant swaps stay exact until the first *accepted* move, which
-        # invalidates every later candidate (the spacing metric couples all
-        # midpoints, so any accept changes every subsequent delta).
-        proposals = []
         for vertex in order:
+            # The force, and hence the step, is fixed for the sweep; target
+            # and occupant come from the current placement.
             force = forces.get(vertex, (0.0, 0.0))
             d_row, d_col = _step_toward(force, config.max_step)
             if d_row == 0 and d_col == 0:
                 continue
-            row, col = placement.positions[vertex]
-            target = (row + d_row, col + d_col)
-            if placement.in_bounds(target):
-                occupant = placement.occupant(target)
-                updates = {vertex: (float(target[0]), float(target[1]))}
-                if occupant is not None:
-                    updates[occupant] = (float(row), float(col))
-            else:
-                # Kept (not evaluated): an accepted move may bring the
-                # vertex back in bounds, so the fallback path re-checks.
-                updates = None
-            proposals.append((vertex, d_row, d_col, target, updates))
-
-        batch_valid = True
-        deltas: Dict[int, float] = {}
-        for index, (vertex, d_row, d_col, target, updates) in enumerate(proposals):
-            if batch_valid:
-                if updates is None:
-                    continue  # no accept yet: the target is still out of bounds
-                if index not in deltas:
-                    # Evaluate the next chunk of candidates in one batched
-                    # call (a single kernel invocation on the compiled
-                    # engine); rejected proposals never touch the tracker.
-                    chunk = [
-                        (j, proposals[j][4])
-                        for j in range(
-                            index, min(index + _PROPOSAL_CHUNK, len(proposals))
-                        )
-                        if proposals[j][4] is not None
-                    ]
-                    for (j, _), value in zip(
-                        chunk,
-                        tracker.evaluate_many([u for _, u in chunk]),
-                    ):
-                        deltas[j] = value
-                delta = deltas[index]
-                stats.proposed_moves += 1
-                accept = delta <= 0 or (
-                    temperature > 1e-9
-                    and rng.random() < math.exp(-delta / temperature)
-                )
-                if accept:
-                    # Replay the accepted candidate for real.  The tracker
-                    # state is identical to evaluation time, so this apply
-                    # returns the same delta bit for bit.
-                    tracker.apply(updates)
-                    placement.move(vertex, target)
-                    stats.accepted_moves += 1
-                    if delta < 0:
-                        improved_any = True
-                        stats.improving_moves += 1
-                    batch_valid = False
-                continue
-            # Sequential fallback after the first accepted move: regenerate
-            # target and occupant from the current placement (the force, and
-            # hence the step, stays fixed for the sweep), exactly like the
-            # one-move-at-a-time annealer.
             row, col = placement.positions[vertex]
             target = (row + d_row, col + d_col)
             if not placement.in_bounds(target):

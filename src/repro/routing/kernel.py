@@ -1,7 +1,7 @@
 """Runtime-compiled C kernel for the batched simulator (optional).
 
-:mod:`repro.routing.batchsim` vectorizes a group of same-circuit sweep
-points with numpy; this module supplies its compiled fast path.  The
+:mod:`repro.routing.batchsim` prepares a group of same-circuit sweep
+points; this module supplies the compiled event loop that runs them.  The
 compile/cache/load machinery — host-compiler discovery, source-hash +
 ``REPRO_KERNEL_CFLAGS`` cache digest, on-disk ``.so`` cache, the
 ``REPRO_NO_KERNEL`` opt-out — lives in the shared

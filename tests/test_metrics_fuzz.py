@@ -2,8 +2,8 @@
 
 Each trial draws a random scenario — a random interaction-style graph
 (occasionally weighted, occasionally with non-integer vertex labels), a
-random layout, and a random sequence of moves, reverts and batched
-evaluations — and checks that **every** available
+random layout, and a random sequence of moves, reverts and
+evaluated-only proposals — and checks that **every** available
 :class:`repro.graphs.metrics.MappingCostTracker` engine (``scalar``
 reference, ``vector`` when numpy is present, ``compiled`` when the C
 kernel builds) stays byte-identical on the full tracker state after
@@ -112,26 +112,20 @@ def run_trial(seed: int) -> None:
             for tracker in trackers.values():
                 tracker.apply(updates)
                 tracker.revert_last()
-        else:  # batched evaluation of independent proposals (no commit)
+        else:  # a run of evaluated-only proposals (no commit)
             proposals = [
                 _random_updates(rng, vertices, span)
                 for _ in range(rng.randint(1, 6))
             ]
-            batches = {
-                engine: tracker.evaluate_many(proposals)
+            evaluated = {
+                engine: [tracker.evaluate(updates) for updates in proposals]
                 for engine, tracker in trackers.items()
             }
-            expected_batch = batches["scalar"]
-            for engine, batch in batches.items():
-                assert batch == expected_batch, (
-                    f"engine={engine!r} diverged on evaluate_many() "
+            for engine, deltas in evaluated.items():
+                assert deltas == evaluated["scalar"], (
+                    f"engine={engine!r} diverged on evaluate() "
                     f"at step {step} (seed {seed})"
                 )
-            singles = [reference.evaluate(updates) for updates in proposals]
-            assert expected_batch == singles, (
-                f"evaluate_many() diverged from per-move evaluate() "
-                f"at step {step} (seed {seed})"
-            )
         ref_state = _state(reference)
         for engine, tracker in trackers.items():
             assert _state(tracker) == ref_state, (

@@ -27,7 +27,6 @@ from repro.routing import (
     Mesh,
     SimulatorConfig,
     kernel_available,
-    numpy_available,
     simulate,
     simulate_batch,
     simulate_reference,
@@ -40,8 +39,6 @@ from repro.routing.simulator import _gate_list
 def available_engines():
     """Engines runnable in this environment (``scalar`` always is)."""
     engines = ["scalar"]
-    if numpy_available():
-        engines.append("vector")
     if kernel_available():
         engines.append("compiled")
     return engines
@@ -177,10 +174,11 @@ class TestBatchInvariants:
         """Fuzz-found: an unparked retirement must not leak freed cells.
 
         Minimized from fuzz seed 11: gate 3 retires at a moment when
-        nothing is parked, so the vector engine once skipped consuming its
-        freed-cell scratch rows; the next retirement then cleared cells of
-        the braid issued in between, letting gate 5 issue one cycle early
-        instead of stalling.
+        nothing is parked, so a since-removed numpy engine once skipped
+        consuming its freed-cell scratch rows; the next retirement then
+        cleared cells of the braid issued in between, letting gate 5 issue
+        one cycle early instead of stalling.  Kept as a scenario every
+        engine must get right.
         """
         from repro.circuits.gates import h, inject_t
 
@@ -234,7 +232,13 @@ class TestEngineSelection:
         expected = simulate(single_level_k4.circuit, placement)
         assert batched[0].to_dict() == expected.to_dict()
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+    def test_vector_engine_is_gone(self, single_level_k4):
+        placement = linear_factory_placement(single_level_k4)
+        with pytest.raises(ValueError, match="unknown batch engine"):
+            simulate_batch(
+                [(single_level_k4.circuit, placement, None)], engine="vector"
+            )
+
     def test_no_kernel_env_pins_python_paths(
         self, single_level_k4, monkeypatch
     ):
@@ -288,7 +292,6 @@ class TestCompiledPlanBuilder:
         assert lhs.count == rhs.count
         assert self._as_bytes(lhs.packed) == self._as_bytes(rhs.packed)
         assert (lhs.probe_arr == rhs.probe_arr).all()
-        assert lhs.masks == rhs.masks
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_single_pair_builder_parity(self, single_level_k8, seed):

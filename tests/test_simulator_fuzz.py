@@ -3,8 +3,8 @@
 Each trial draws a random scenario — one or two circuits, one or two
 placements each, a handful of simulator configs, the whole point set
 shuffled and chunked into random batch sizes — and checks that **every**
-available batched engine (``scalar``, ``vector`` when numpy is present,
-``compiled`` when the C kernel builds) produces ``to_dict()`` output
+available batched engine (``scalar``, ``compiled`` when the C kernel
+builds) produces ``to_dict()`` output
 byte-identical to per-point :func:`repro.routing.simulate`, which is
 itself cross-checked against :func:`repro.routing.simulate_reference`
 (stall_events, distinct_stalls and wakeups included).  A small corpus
@@ -25,7 +25,6 @@ from repro.mapping import Placement
 from repro.routing import (
     SimulatorConfig,
     kernel_available,
-    numpy_available,
     simulate,
     simulate_batch,
     simulate_reference,
@@ -38,8 +37,6 @@ SEED_BASE = 20260808
 
 def _engines():
     engines = ["scalar"]
-    if numpy_available():
-        engines.append("vector")
     if kernel_available():
         engines.append("compiled")
     return engines
