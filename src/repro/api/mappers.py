@@ -221,6 +221,11 @@ class HierarchicalStitchingMapper(Mapper):
     Returns a :class:`StitchedMapping`: port reassignment rewires the
     inter-round permutation, so the evaluation must use the stitched
     factory's circuit and hop map rather than the shared base factory.
+
+    ``seed`` is ignored: the hop annealer draws from
+    ``StitchingConfig.seed`` of the request's ``stitch_config`` (0 when
+    none is given, as in every sweep), so each sweep seed gets the same
+    stitched placement and hop map.
     """
 
     name = "hierarchical_stitching"

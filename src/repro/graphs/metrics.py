@@ -723,29 +723,16 @@ class _ScalarTrackerEngine:
 
 
 # --- vector engine ---------------------------------------------------------
-def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
-    """Crossing count over explicit (query segment, candidate index) pairs.
+def _np_segments_cross(query, cand):
+    """Elementwise :func:`_segments_cross` over broadcastable segment arrays.
 
-    Replays exactly the arithmetic of :func:`_segments_cross` (same
-    products, same 1e-12 tolerances) over the pair arrays, so the count
-    agrees with the scalar path on every input.  ``query`` rows are
-    ``(p_row, p_col, q_row, q_col)`` segments; vertex-identity exclusion
-    uses ``query_u``/``query_v`` against the candidate endpoint arrays.
+    Replays exactly the arithmetic of the scalar predicate (same products,
+    same 1e-12 tolerances), so every entry agrees with it on every input.
+    ``query`` and ``cand`` hold ``(p_row, p_col, q_row, q_col)`` segments in
+    their last axis; ``query`` plays the role of ``a1-a2``.
     """
-    cand_u = end_u[idx]
-    cand_v = end_v[idx]
-    keep = (
-        (cand_u != query_u)
-        & (cand_u != query_v)
-        & (cand_v != query_u)
-        & (cand_v != query_v)
-    )
-    if not keep.any():
-        return 0
-    cand = seg[idx[keep]]
-    query = query[keep]
-    b1r, b1c, b2r, b2c = cand[:, 0], cand[:, 1], cand[:, 2], cand[:, 3]
-    pr, pc, qr, qc = query[:, 0], query[:, 1], query[:, 2], query[:, 3]
+    b1r, b1c, b2r, b2c = cand[..., 0], cand[..., 1], cand[..., 2], cand[..., 3]
+    pr, pc, qr, qc = query[..., 0], query[..., 1], query[..., 2], query[..., 3]
     tol = 1e-12
 
     def orient(v1r, v1c, v2r, v2c, wr, wc):
@@ -770,7 +757,44 @@ def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
     crossing |= (o2 == 0) & on_segment(pr, pc, b2r, b2c, qr, qc)
     crossing |= (o3 == 0) & on_segment(b1r, b1c, pr, pc, b2r, b2c)
     crossing |= (o4 == 0) & on_segment(b1r, b1c, qr, qc, b2r, b2c)
-    return int(crossing.sum())
+    return crossing
+
+
+def segments_intersect_array(query, cand):
+    """Elementwise :func:`segments_intersect` over broadcastable segment arrays.
+
+    Same layout as :func:`_np_segments_cross`; a pair whose segments share
+    an endpoint *coordinate* is excluded, exactly as in the scalar helper.
+    """
+
+    def same(a, b):
+        return (a[..., 0] == b[..., 0]) & (a[..., 1] == b[..., 1])
+
+    a1, a2 = query[..., 0:2], query[..., 2:4]
+    b1, b2 = cand[..., 0:2], cand[..., 2:4]
+    shared = same(a1, b1) | same(a1, b2) | same(a2, b1) | same(a2, b2)
+    return _np_segments_cross(query, cand) & ~shared
+
+
+def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
+    """Crossing count over explicit (query segment, candidate index) pairs.
+
+    ``query`` rows are ``(p_row, p_col, q_row, q_col)`` segments tested
+    against ``seg[idx]`` with :func:`_np_segments_cross`; vertex-identity
+    exclusion uses ``query_u``/``query_v`` against the candidate endpoint
+    arrays.
+    """
+    cand_u = end_u[idx]
+    cand_v = end_v[idx]
+    keep = (
+        (cand_u != query_u)
+        & (cand_u != query_v)
+        & (cand_v != query_u)
+        & (cand_v != query_v)
+    )
+    if not keep.any():
+        return 0
+    return int(_np_segments_cross(query[keep], seg[idx[keep]]).sum())
 
 
 class _VectorTrackerEngine:

@@ -32,6 +32,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..distillation.block_code import (
     Factory,
     FactorySpec,
@@ -42,7 +44,7 @@ from ..distillation.block_code import (
     default_port_map,
 )
 from ..graphs.interaction import interaction_graph
-from ..graphs.metrics import segments_intersect
+from ..graphs.metrics import segments_intersect_array
 from .force_directed import ForceDirectedConfig, force_directed_refine
 from .graph_partition import graph_partition_placement
 from .linear import linear_module_cells, linear_module_shape
@@ -319,32 +321,43 @@ def _free_cells(placement: Placement) -> List[Cell]:
     ]
 
 
-def _hop_congestion(
-    segments: Dict[int, List[Tuple[Tuple[float, float], Tuple[float, float]]]],
-    index: int,
-) -> float:
-    """Crossing count of one braid's polyline against all other braids'."""
-    crossings = 0.0
-    mine = segments[index]
-    for other_index, other_segments in segments.items():
-        if other_index == index:
-            continue
-        for a1, a2 in mine:
-            for b1, b2 in other_segments:
-                if segments_intersect(a1, a2, b1, b2):
-                    crossings += 1.0
-    return crossings
+#: Relative moves tried for each hop per sweep, before one random free cell.
+_HOP_MOVES = [
+    (dr, dc)
+    for dr in (-2, -1, 0, 1, 2)
+    for dc in (-2, -1, 0, 1, 2)
+    if (dr, dc) != (0, 0)
+]
 
 
-def _segments_for(
-    source: Cell, target: Cell, hop: Optional[Cell]
-) -> List[Tuple[Tuple[float, float], Tuple[float, float]]]:
-    src = (float(source[0]), float(source[1]))
-    dst = (float(target[0]), float(target[1]))
-    if hop is None:
-        return [(src, dst)]
-    mid = (float(hop[0]), float(hop[1]))
-    return [(src, mid), (mid, dst)]
+def _hop_costs(
+    segments: np.ndarray, row: int, source: Cell, target: Cell, hops: List[Cell]
+) -> np.ndarray:
+    """Annealing cost of routing braid ``row`` through each of ``hops``.
+
+    ``segments`` holds every braid's two committed segments, shape
+    ``(n_braids, 2, 4)``.  The cost is ``4 * crossings + 0.5 * detour``,
+    where crossings counts :func:`segments_intersect_array` over both hop
+    segments against every segment of every other braid.  All coordinates
+    are small integers, so the float arithmetic is exact.
+    """
+    cells = np.asarray(hops, dtype=float)
+    query = np.empty((len(hops), 2, 4))
+    query[:, 0, 0:2] = source
+    query[:, 0, 2:4] = cells
+    query[:, 1, 0:2] = cells
+    query[:, 1, 2:4] = target
+    others = np.delete(segments, row, axis=0).reshape(1, 1, -1, 4)
+    crossings = segments_intersect_array(query[:, :, None, :], others)
+    detour = (
+        np.abs(source[0] - cells[:, 0])
+        + np.abs(source[1] - cells[:, 1])
+        + np.abs(cells[:, 0] - target[0])
+        + np.abs(cells[:, 1] - target[1])
+        - abs(source[0] - target[0])
+        - abs(source[1] - target[1])
+    )
+    return 4.0 * crossings.sum(axis=(1, 2)) + 0.5 * detour
 
 
 def optimize_permutation_hops(
@@ -386,54 +399,34 @@ def optimize_permutation_hops(
         return hops
 
     # Annealing: locally move each hop to reduce crossings + detour length.
-    segments = {
-        index: _segments_for(endpoints[index][0], endpoints[index][1], hops[index])
-        for index in indices
-    }
-
-    def hop_cost(index: int, hop: Cell) -> float:
+    # Each visit scores the current hop and every in-bounds candidate in one
+    # vectorised call; the first minimum wins if strictly below the current.
+    segments = np.empty((len(indices), 2, 4))
+    for row, index in enumerate(indices):
         source, target = endpoints[index]
-        detour = (
-            abs(source[0] - hop[0])
-            + abs(source[1] - hop[1])
-            + abs(hop[0] - target[0])
-            + abs(hop[1] - target[1])
-            - abs(source[0] - target[0])
-            - abs(source[1] - target[1])
-        )
-        segments[index] = _segments_for(source, target, hop)
-        crossings = _hop_congestion(segments, index)
-        return 4.0 * crossings + 0.5 * detour
+        segments[row, 0, 0:2] = source
+        segments[row, 1, 2:4] = target
+        segments[row, 0, 2:4] = segments[row, 1, 0:2] = hops[index]
+    rows = {index: row for row, index in enumerate(indices)}
 
     for _sweep in range(config.hop_sweeps):
         order = list(indices)
         rng.shuffle(order)
         for index in order:
             current = hops[index]
-            current_cost = hop_cost(index, current)
-            best_hop = current
-            best_cost = current_cost
-            candidates = [
-                (current[0] + dr, current[1] + dc)
-                for dr in (-2, -1, 0, 1, 2)
-                for dc in (-2, -1, 0, 1, 2)
-                if (dr, dc) != (0, 0)
+            moved = [(current[0] + dr, current[1] + dc) for dr, dc in _HOP_MOVES]
+            moved.append(free[rng.randrange(len(free))])
+            candidates = [current] + [
+                cell
+                for cell in moved
+                if 0 <= cell[0] < placement.height and 0 <= cell[1] < placement.width
             ]
-            candidates.append(free[rng.randrange(len(free))])
-            for candidate in candidates:
-                if not (
-                    0 <= candidate[0] < placement.height
-                    and 0 <= candidate[1] < placement.width
-                ):
-                    continue
-                cost = hop_cost(index, candidate)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_hop = candidate
-            hops[index] = best_hop
-            segments[index] = _segments_for(
-                endpoints[index][0], endpoints[index][1], best_hop
-            )
+            row = rows[index]
+            costs = _hop_costs(segments, row, *endpoints[index], candidates)
+            best = int(np.argmin(costs))
+            if best:
+                hops[index] = candidates[best]
+                segments[row, 0, 2:4] = segments[row, 1, 0:2] = candidates[best]
     return hops
 
 

@@ -6,7 +6,10 @@ annealer's own call sequence moves all engines at once and slips past them.
 This module pins absolute values instead: for the two-level factories the
 Fig. 10 sweeps map (capacities 4 and 16), the placement fingerprint and the
 ``RefineStats`` move counters of ``force_directed_refine`` at seeds 0-2, and
-the ``hierarchical_stitching`` placement and hop map at seed 0.
+the ``hierarchical_stitching`` placement and hop map at seed 0.  On the
+stitched placement it also pins the hop map of ``optimize_permutation_hops``
+for both annealed hop modes at seeds 0-2, and the Fig. 9c/9d latency table
+at K=4.
 
 Any intended trajectory change must update these values and say why.
 """
@@ -19,7 +22,9 @@ import pytest
 
 from repro.api import get_mapper
 from repro.distillation import build_two_level_factory
+from repro.experiments import fig9_permutation
 from repro.mapping.force_directed import take_refine_stats
+from repro.mapping.stitching import StitchingConfig, optimize_permutation_hops
 
 #: (capacity, seed) -> (placement digest, sweeps, proposed, accepted, improving)
 FD_GOLDEN = {
@@ -35,6 +40,31 @@ FD_GOLDEN = {
 STITCH_GOLDEN = {
     4: ("1a31b33d834526a3", "99d248409d0ab0e3"),
     16: ("7bf2fe5d6104072b", "001ea3348fc64559"),
+}
+
+#: (hop mode, capacity, seed) -> hop-map digest of ``optimize_permutation_hops``
+#: on the seed-0 stitched placement.
+HOP_GOLDEN = {
+    ("annealed_midpoint", 4, 0): "99d248409d0ab0e3",
+    ("annealed_midpoint", 4, 1): "88cbc8ca3707f046",
+    ("annealed_midpoint", 4, 2): "e67d6eaec43067b7",
+    ("annealed_random", 4, 0): "71b8dec47f7fa0eb",
+    ("annealed_random", 4, 1): "6077e13d88ce3b6d",
+    ("annealed_random", 4, 2): "05ce6777a6f127c3",
+    ("annealed_midpoint", 16, 0): "001ea3348fc64559",
+    ("annealed_midpoint", 16, 1): "23ea3c7d124bfdb8",
+    ("annealed_midpoint", 16, 2): "fd6e6ecfdde128d5",
+    ("annealed_random", 16, 0): "2ea605615514d996",
+    ("annealed_random", 16, 1): "7c3be4d3fdc73411",
+    ("annealed_random", 16, 2): "847cb04a07c80c31",
+}
+
+#: ``fig9_permutation.run(capacities=[4], seed=0).by_mode()``.
+FIG9_GOLDEN = {
+    "none": {4: 28},
+    "random": {4: 36},
+    "annealed_random": {4: 36},
+    "annealed_midpoint": {4: 28},
 }
 
 
@@ -77,3 +107,27 @@ def test_hierarchical_stitching_is_pinned(two_level_factories, capacity):
         _digest(sorted(mapping.hops.items())),
     )
     assert observed == STITCH_GOLDEN[capacity]
+
+
+@pytest.fixture(scope="module")
+def stitched_mappings(two_level_factories):
+    return {
+        capacity: get_mapper("hierarchical_stitching").place(factory, seed=0)
+        for capacity, factory in two_level_factories.items()
+    }
+
+
+@pytest.mark.parametrize("mode,capacity,seed", sorted(HOP_GOLDEN))
+def test_permutation_hops_are_pinned(stitched_mappings, mode, capacity, seed):
+    mapping = stitched_mappings[capacity]
+    hops = optimize_permutation_hops(
+        mapping.factory,
+        mapping.placement,
+        StitchingConfig(hop_mode=mode, seed=seed),
+    )
+    assert _digest(sorted(hops.items())) == HOP_GOLDEN[(mode, capacity, seed)]
+
+
+def test_fig9_permutation_latencies_are_pinned():
+    result = fig9_permutation.run(capacities=[4], seed=0)
+    assert result.by_mode() == FIG9_GOLDEN
