@@ -31,8 +31,7 @@ The public API is organised around three pluggable abstractions in
   schedules them serially or across worker processes with deterministic,
   byte-identical results; simulations are memoized
   (:class:`repro.routing.SimulationCache`) so repeated sweep points never
-  re-simulate, and ``repro-msfu bench`` records the performance trajectory
-  as ``BENCH_*.json``.
+  re-simulate.
 
 A custom mapper end to end::
 

@@ -20,8 +20,7 @@ The core abstractions:
   or across worker processes with deterministic result ordering;
 * :class:`ResultStore` — the on-disk, content-addressed result store that
   memoizes evaluations *across* processes and machines (keyed by
-  :func:`request_fingerprint`), making sweeps resumable (``resume=True``)
-  and CI bench comparisons possible;
+  :func:`request_fingerprint`), making sweeps resumable (``resume=True``);
 * :class:`ExperimentSpec` / :class:`ParamSpec` — declarative experiments
   whose typed parameters drive the auto-generated CLI options.
 """
@@ -34,7 +33,6 @@ from .executor import (
     SweepRunResult,
     recommended_workers,
     run_sweep,
-    take_last_run_stats,
 )
 from .experiments import (
     PARAM_KINDS,
@@ -105,7 +103,6 @@ __all__ = [
     "SweepRunResult",
     "recommended_workers",
     "run_sweep",
-    "take_last_run_stats",
     "PARAM_KINDS",
     "SEED_PARAM",
     "WORKERS_PARAM",

@@ -50,8 +50,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import queue
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -61,7 +59,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -421,8 +418,7 @@ class SweepExecutor:
     Worker processes cache independently, so cross-request cache hits
     depend on which worker a request lands on; request-level deduplication
     happens in the parent and is scheduling-independent.  Use
-    :func:`take_last_run_stats` (or ``run(...).stats``) for the exact
-    accounting of a run.
+    ``run(...).stats`` for the exact accounting of a run.
 
     Mappers are resolved by name *inside* each worker.  On platforms whose
     process start method is ``fork`` (Linux, the default) workers inherit
@@ -566,75 +562,7 @@ class SweepExecutor:
 
         evaluations = [unique_results[slot] for slot in slots]
         stats.wall_seconds = time.perf_counter() - started
-        result = SweepRunResult(evaluations=evaluations, stats=stats)
-        global _LAST_RUN_STATS
-        _LAST_RUN_STATS = stats
-        return result
-
-    def stream(
-        self,
-        plan: Union[SweepPlan, Iterable[EvaluationRequest]],
-        resume: Optional[bool] = None,
-    ) -> Iterator[SweepProgress]:
-        """Execute ``plan``, yielding each :class:`SweepProgress` as it lands.
-
-        The streaming twin of :meth:`run`: instead of reassembling the
-        whole result at the end, events are handed to the consumer in
-        completion order the moment each unique request resolves (store
-        hits first on a resumed run, then evaluations as workers finish).
-        This is the primitive behind the CLI's ``--stream-output`` JSONL
-        sink and the job layer's live progress — a fleet coordinator can
-        watch points land without waiting for (or buffering) the full
-        sweep.
-
-        The run itself executes on a background thread through the normal
-        :meth:`run` machinery, so every mode (serial, ``workers > 1``,
-        ``batch=True``) and every guarantee (dedup, resume, immediate
-        persistence) is identical to the blocking call; the assembled
-        result's stats remain available through :func:`take_last_run_stats`
-        after the iterator is exhausted.  Closing the generator early
-        aborts the run at the next completion event (work already finished
-        stays persisted, exactly like a killed resumable sweep); an
-        evaluation error surfaces by raising from the iterator after the
-        events that preceded it have been delivered.
-        """
-        events: "queue.Queue[Optional[SweepProgress]]" = queue.Queue()
-        abort = threading.Event()
-        failure: List[BaseException] = []
-
-        class _StreamClosed(Exception):
-            """Raised inside the worker when the consumer went away."""
-
-        def relay(event: SweepProgress) -> None:
-            if abort.is_set():
-                raise _StreamClosed()
-            events.put(event)
-
-        def worker() -> None:
-            try:
-                self.run(plan, resume=resume, progress=relay)
-            except _StreamClosed:
-                pass
-            except BaseException as error:  # noqa: BLE001 - re-raised in consumer
-                failure.append(error)
-            finally:
-                events.put(None)
-
-        thread = threading.Thread(
-            target=worker, name="sweep-stream", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                event = events.get()
-                if event is None:
-                    break
-                yield event
-        finally:
-            abort.set()
-            thread.join()
-        if failure:
-            raise failure[0]
+        return SweepRunResult(evaluations=evaluations, stats=stats)
 
     def _storage_request(self, request: EvaluationRequest) -> EvaluationRequest:
         """The store identity of a request under this executor's defaults."""
@@ -745,21 +673,6 @@ class SweepExecutor:
                 report(index, "evaluated", evaluation)
             if first_error is not None:
                 raise first_error
-
-
-#: Stats of the most recent ``SweepExecutor.run`` in this process — set even
-#: when the executor was created internally (e.g. by ``capacity_sweep`` with
-#: ``workers > 1``), so the ``repro-msfu bench`` command can report cache
-#: behaviour it could not otherwise observe.
-_LAST_RUN_STATS: Optional[ExecutorStats] = None
-
-
-def take_last_run_stats() -> Optional[ExecutorStats]:
-    """Pop the stats of the most recent executor run (``None`` if none ran)."""
-    global _LAST_RUN_STATS
-    stats = _LAST_RUN_STATS
-    _LAST_RUN_STATS = None
-    return stats
 
 
 def run_sweep(

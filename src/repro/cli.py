@@ -24,15 +24,6 @@ Run the Fig. 7 scaling sweep across 4 worker processes::
 
     repro-msfu run fig7b --workers 4
 
-Benchmark the experiment suite and record the perf trajectory point::
-
-    repro-msfu bench --workers 4 --output BENCH_fig7.json
-    repro-msfu bench --smoke           # reduced sweep, writes BENCH_<timestamp>.json
-
-Diff two bench records and fail on slowdowns (the CI regression gate)::
-
-    repro-msfu bench --compare BENCH_old.json BENCH_new.json --max-slowdown 3.0
-
 Run a resumable sweep against the persistent result store, inspect it,
 and expire old entries::
 
@@ -64,48 +55,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
-from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from .api.benchcompare import (
-    BenchRecordError,
-    compare_bench_records,
-    load_bench_record,
-)
-from .api.executor import (
-    ExecutorStats,
-    SweepExecutor,
-    SweepPlan,
-    SweepRunResult,
-    take_last_run_stats,
-)
+from .api.executor import SweepExecutor, SweepPlan
 from .api.experiments import (
     ExperimentSpec,
     available_experiments,
     get_experiment,
     parse_int_list,
 )
-from .api.pipeline import default_pipeline
 from .api.sharding import (
     SHARD_STRATEGIES,
     ShardSpec,
     load_shard_file,
     plan_fingerprint,
     run_shard,
-    shard_specs,
     write_shard_files,
 )
 from .api.store import (
     DEFAULT_STORE_ROOT,
     MergeConflictError,
     ResultStore,
-    current_git_sha,
 )
-from .persistutil import atomic_write_json, write_jsonl_line
+from .persistutil import write_jsonl_line
 
 
 def _parse_capacities(text: str) -> List[int]:
@@ -188,91 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="write the result to FILE instead of stdout",
         )
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="benchmark experiments and write a BENCH_*.json perf record",
-        description=(
-            "Run a set of experiments under wall-clock timing and emit a "
-            "machine-readable BENCH_*.json record (per-experiment wall time, "
-            "simulated cycles, cache-hit accounting) that seeds the "
-            "performance trajectory of the repository."
-        ),
-    )
-    bench_parser.add_argument(
-        "--experiments",
-        metavar="NAMES",
-        default=None,
-        help=(
-            "comma-separated experiment names to benchmark "
-            f"(default: {','.join(DEFAULT_BENCH_EXPERIMENTS)})"
-        ),
-    )
-    bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for sweep experiments (1 = serial)",
-    )
-    bench_parser.add_argument(
-        "--seed", type=int, default=None, help="random seed forwarded to experiments"
-    )
-    bench_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "run sweep experiments through the batched simulator core "
-            "(identical results; timing reflects the batched path)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="use reduced parameter ranges so the whole bench finishes in seconds",
-    )
-    bench_parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help=(
-            "record path (default: BENCH_<UTC timestamp>.json in the "
-            "current directory)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        default=None,
-        help=(
-            "compare two BENCH_*.json records instead of benchmarking: print "
-            "a field-by-field diff table and exit nonzero on wall-time "
-            "regressions beyond --max-slowdown (cross-machine diffs are "
-            "advisory unless --strict)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--max-slowdown",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="failing new/old wall-time ratio for --compare (default: 1.5)",
-    )
-    bench_parser.add_argument(
-        "--min-slowdown-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "absolute wall-time growth below which a ratio breach is noise, "
-            "not a regression (--compare only; default: 0.05)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="make --compare regressions gate even across machines/scales",
-    )
 
     _add_sweep_parsers(subparsers)
     _add_serve_parser(subparsers)
@@ -634,849 +523,6 @@ def _add_sweep_parsers(subparsers) -> None:
     )
 
 
-#: Experiments benchmarked by ``repro-msfu bench`` when none are named: the
-#: Fig. 7 scaling sweeps (the canonical parallel-execution workload), the
-#: single-level Table I block (a mapper-diverse, simulation-heavy sweep),
-#: the force-directed mapper case (crossing counting + full exact-cost FD
-#: refinement on a factory-scale graph), the congestion-stress simulator
-#: case (bitmask/wakeup engine vs the set-based reference engine) and the
-#: batched-simulator case (one ``simulate_batch`` call over a sweep-shaped
-#: point set vs the per-point engine loop).
-DEFAULT_BENCH_EXPERIMENTS = (
-    "fig7a",
-    "fig7b",
-    "table1-level1",
-    "fd-mapper",
-    "fd-kernel",
-    "sim-congestion",
-    "sim-batch",
-    "sweep-shard",
-)
-
-#: Name of the special bench-only case handled by :func:`_bench_fd_mapper`
-#: (not a registered experiment: it times mapping-layer internals, not a
-#: paper artifact).
-FD_MAPPER_BENCH = "fd-mapper"
-
-#: Name of the special bench-only case handled by :func:`_bench_fd_kernel`
-#: (times the compiled/vector/scalar tracker engines head to head on one
-#: deterministic move sequence, asserting byte-identical state).
-FD_KERNEL_BENCH = "fd-kernel"
-
-#: Name of the special bench-only case handled by
-#: :func:`_bench_sim_congestion` (times routing-layer internals: the default
-#: simulation engine against the retained reference engine).
-SIM_CONGESTION_BENCH = "sim-congestion"
-
-#: Name of the special bench-only case handled by :func:`_bench_sim_batch`
-#: (times the batched simulator core against the per-point engine loop on
-#: a sweep-shaped same-circuit point set).
-SIM_BATCH_BENCH = "sim-batch"
-
-#: Name of the special bench-only case handled by
-#: :func:`_bench_sweep_shard` (a k-shard simulated fleet over private
-#: stores, merged and checked byte-identical against one single-store run).
-SWEEP_SHARD_BENCH = "sweep-shard"
-
-#: Reduced ``--smoke`` parameter overrides per experiment, chosen so every
-#: entry completes in seconds.  Unknown experiments with a ``capacities``
-#: parameter fall back to ``[2, 4]``.
-SMOKE_OVERRIDES: Dict[str, Dict[str, Any]] = {
-    "fig7a": {"capacities": [2, 4]},
-    "fig7b": {"capacities": [4]},
-    "fig10-single": {"capacities": [2, 4]},
-    "fig10-two": {"capacities": [4]},
-    "table1-level1": {"capacities": [2]},
-    "table1-level2": {"capacities": [4]},
-    "fig6": {"num_mappings": 5},
-}
-
-
-def _bench_kwargs(spec: ExperimentSpec, args: argparse.Namespace) -> Dict[str, Any]:
-    """The kwargs one bench entry passes to its experiment runner."""
-    param_names = {param.name for param in spec.params}
-    kwargs: Dict[str, Any] = {}
-    if args.smoke:
-        overrides = SMOKE_OVERRIDES.get(spec.name)
-        if overrides is None and "capacities" in param_names:
-            overrides = {"capacities": [2, 4]}
-        for key, value in (overrides or {}).items():
-            if key in param_names:
-                kwargs[key] = value
-    if args.seed is not None and "seed" in param_names:
-        kwargs["seed"] = args.seed
-    if args.workers != 1 and "workers" in param_names:
-        kwargs["workers"] = args.workers
-    if getattr(args, "batch", False) and "batch" in param_names:
-        kwargs["batch"] = True
-    return kwargs
-
-
-def _bench_fd_mapper(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the exact-metrics engine and a full FD refinement.
-
-    Times the bucketed crossing counter against the brute-force
-    ``_reference`` oracle (asserting equal counts), then a complete
-    :func:`~repro.mapping.force_directed.force_directed_refine` run with
-    per-move exact incremental cost, on the L2 K=16 factory graph (the
-    paper's headline two-level configuration; L1 K=4 under ``--smoke``).
-
-    The record also estimates two brute-force baselines from a measured
-    exact-cost evaluation (best of three): *per-move* — what driving every
-    proposed move with a brute-force exact evaluation would cost, i.e. the
-    only pre-existing way to compute the objective the incremental tracker
-    now provides per move — and *per-sweep* — what the pre-existing exact
-    path actually did for graphs under its 600-edge cutoff (one exact
-    evaluation per sweep; above the cutoff it optimized a cheap surrogate
-    instead, which is the bug this engine fixes, so its wall time is not a
-    like-for-like baseline).
-    """
-    from .graphs import interaction_graph
-    from .graphs.metrics import (
-        average_edge_length,
-        average_edge_spacing_reference,
-        combine_metric_cost,
-        count_edge_crossings,
-        count_edge_crossings_reference,
-    )
-    from .mapping import linear_factory_placement
-    from .mapping.force_directed import (
-        ForceDirectedConfig,
-        force_directed_refine,
-        take_refine_stats,
-    )
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    graph = interaction_graph(factory.circuit)
-    initial = linear_factory_placement(factory)
-    positions = initial.as_float_positions()
-
-    tick = time.perf_counter()
-    bucketed = count_edge_crossings(graph, positions)
-    crossing_seconds = time.perf_counter() - tick
-    tick = time.perf_counter()
-    reference = count_edge_crossings_reference(graph, positions)
-    crossing_reference_seconds = time.perf_counter() - tick
-    if bucketed != reference:
-        raise AssertionError(
-            f"bucketed crossing count {bucketed} != brute force {reference}"
-        )
-
-    # One full brute-force evaluation of the exact combined cost (best of
-    # three, to damp single-sample timing noise).
-    config = ForceDirectedConfig(seed=args.seed if args.seed is not None else 0)
-    brute_eval_seconds = float("inf")
-    for _ in range(3):
-        tick = time.perf_counter()
-        combine_metric_cost(
-            count_edge_crossings_reference(graph, positions),
-            average_edge_length(graph, positions),
-            average_edge_spacing_reference(graph, positions),
-            crossing_weight=config.cost_crossing_weight,
-        )
-        brute_eval_seconds = min(brute_eval_seconds, time.perf_counter() - tick)
-
-    take_refine_stats()  # drop stats of unrelated earlier runs
-    tick = time.perf_counter()
-    force_directed_refine(graph, initial, config)
-    refine_seconds = time.perf_counter() - tick
-    refine_stats = take_refine_stats()[-1]
-
-    per_move_brute_seconds = refine_stats.proposed_moves * brute_eval_seconds
-    per_sweep_brute_seconds = refine_stats.sweeps * brute_eval_seconds
-    return {
-        "experiment": FD_MAPPER_BENCH,
-        "params": {"capacity": capacity, "levels": levels, "seed": config.seed},
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "fd": {
-            "nodes": graph.number_of_nodes(),
-            "edges": graph.number_of_edges(),
-            "edge_crossings": bucketed,
-            "crossing_seconds": round(crossing_seconds, 4),
-            "crossing_reference_seconds": round(crossing_reference_seconds, 4),
-            "crossing_speedup": round(
-                crossing_reference_seconds / crossing_seconds, 2
-            )
-            if crossing_seconds > 0
-            else None,
-            "refine_seconds": round(refine_seconds, 4),
-            "sweeps": refine_stats.sweeps,
-            "proposed_moves": refine_stats.proposed_moves,
-            "accepted_moves": refine_stats.accepted_moves,
-            "initial_cost": round(refine_stats.initial_cost, 2),
-            "best_cost": round(refine_stats.best_cost, 2),
-            "brute_force_cost_eval_seconds": round(brute_eval_seconds, 4),
-            # Hypothetical: per-move exact acceptance via brute-force
-            # recompute (what the incremental tracker replaces).  No prior
-            # release ran this loop — large graphs used a length surrogate.
-            "estimated_per_move_brute_force_seconds": round(
-                per_move_brute_seconds, 1
-            ),
-            "refine_speedup_vs_per_move_brute_force": round(
-                per_move_brute_seconds / refine_seconds, 1
-            )
-            if refine_seconds > 0
-            else None,
-            # What the pre-existing exact path did for <=600-edge graphs,
-            # extrapolated to this size: one brute-force evaluation per
-            # sweep (per-move acceptance still used the cheap surrogate).
-            "estimated_per_sweep_brute_force_seconds": round(
-                per_sweep_brute_seconds, 1
-            ),
-        },
-    }
-
-
-def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the tracker engines head to head on one move sequence.
-
-    Builds one :class:`~repro.graphs.metrics.MappingCostTracker` per
-    available engine (``scalar`` reference, ``vector``, ``compiled``) on
-    the L2 K=16 factory graph (L1 K=4 under ``--smoke``) and drives each
-    through the *same* deterministic sequence of annealer-shaped
-    operations — single-move applies, apply+revert pairs, and runs of
-    pure ``evaluate`` proposals.  Every proposal's delta and the full
-    tracker state (crossings, lengths, spacing sum, combined cost,
-    positions) are asserted byte-identical across engines at the end; the
-    record carries per-engine wall time and the speedup of each engine
-    over the scalar reference.
-    """
-    import random as _random
-
-    from .graphs import interaction_graph
-    from .graphs.metrics import MappingCostTracker, tracker_engines
-    from .mapping import linear_factory_placement
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    # The scalar reference costs ~10ms per evaluation at L2 K=16; the
-    # sequence length is chosen so the slowest engine stays under ~10s
-    # while every engine still accumulates a timing well above jitter.
-    moves = 300 if args.smoke else 400
-    seed = args.seed if args.seed is not None else 0
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    graph = interaction_graph(factory.circuit)
-    positions = linear_factory_placement(factory).as_float_positions()
-
-    # Pre-generate the operation sequence once so every engine replays the
-    # identical workload (roughly annealer-shaped: mostly kept moves, some
-    # rejected ones, occasional runs of evaluated-only proposals).
-    rng = _random.Random(seed)
-    vertices = sorted(graph.nodes(), key=str)
-    max_row = max(row for row, _ in positions.values()) + 1.0
-    max_col = max(col for _, col in positions.values()) + 1.0
-
-    def _updates() -> Dict[Any, Tuple[float, float]]:
-        chosen = rng.sample(vertices, rng.randint(1, 2))
-        return {
-            vertex: (
-                float(rng.randrange(int(max_row))),
-                float(rng.randrange(int(max_col))),
-            )
-            for vertex in chosen
-        }
-
-    ops = []
-    for _ in range(moves):
-        roll = rng.random()
-        if roll < 0.7:
-            ops.append(("apply", _updates()))
-        elif roll < 0.9:
-            ops.append(("revert", _updates()))
-        else:
-            ops.append(("batch", [_updates() for _ in range(8)]))
-
-    timings: Dict[str, float] = {}
-    states: Dict[str, Any] = {}
-    for engine in tracker_engines():
-        tick = time.perf_counter()
-        tracker = MappingCostTracker(graph, dict(positions), engine=engine)
-        deltas = []
-        for op, payload in ops:
-            if op == "apply":
-                tracker.apply(payload)
-            elif op == "revert":
-                tracker.apply(payload)
-                tracker.revert_last()
-            else:
-                deltas.extend(tracker.evaluate(updates) for updates in payload)
-        timings[engine] = time.perf_counter() - tick
-        states[engine] = (
-            deltas,
-            tracker.crossings,
-            tracker.total_edge_length,
-            tracker.total_weighted_length,
-            tracker.spacing_sum,
-            tracker.cost(),
-            dict(tracker._positions),
-        )
-
-    expected = states["scalar"]
-    for engine, state in states.items():
-        if state != expected:
-            raise AssertionError(
-                f"tracker engine {engine!r} diverged from the scalar "
-                f"reference on the fd-kernel bench sequence"
-            )
-
-    scalar_seconds = timings["scalar"]
-    engines = {
-        engine: {
-            "seconds": round(seconds, 4),
-            "speedup_vs_scalar": round(scalar_seconds / seconds, 2)
-            if seconds > 0
-            else None,
-        }
-        for engine, seconds in timings.items()
-    }
-    return {
-        "experiment": FD_KERNEL_BENCH,
-        "params": {
-            "capacity": capacity,
-            "levels": levels,
-            "seed": seed,
-            "moves": moves,
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "fd": {
-            "nodes": graph.number_of_nodes(),
-            "edges": graph.number_of_edges(),
-            "operations": len(ops),
-            "engines": engines,
-            "state_identical": True,  # asserted above; recorded for compare
-        },
-    }
-
-
-def _bench_sim_congestion(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the bitmask/wakeup simulation engine under congestion.
-
-    The scenario is a factory-scale mesh at high braid pressure (Section
-    VIII-A stall semantics): the two-level K=16 factory circuit under a
-    *random* placement — the congested geometry of the Fig. 6 study, where
-    braid corridors cross constantly — swept over ``max_candidates``, plus a
-    denser schedule that stitches rounds of random permutation braids (the
-    inter-round traffic the paper blames for the Fig. 7b gap) onto the same
-    mapping.  Under ``--smoke`` the single-level K=4 factory is used.
-
-    Each configuration is simulated with the default bitmask/wakeup engine
-    and with :func:`~repro.routing.simulator.simulate_reference` (wakeup
-    tracking disabled, so the oracle's cost profile is the pre-wakeup
-    engine's).  Results must agree field-for-field (``wakeups`` aside, which
-    the untracked oracle does not compute; the tier-1 parity suite pins it);
-    wall times are best-of-``repeats`` to damp single-sample noise.  The
-    headline ``speedup`` is total reference time over total engine time.
-    """
-    import random as random_module
-
-    from .routing import SimulatorConfig, simulate, simulate_reference
-    from .circuits.gates import cnot
-    from .mapping import random_circuit_placement
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    seed = args.seed if args.seed is not None else 0
-    repeats = 1 if args.smoke else 3
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    placement = random_circuit_placement(factory.circuit, seed=seed)
-
-    # The denser stitched schedule: the factory rounds followed by rounds of
-    # random permutation braids over every placed qubit.
-    rng = random_module.Random(seed + 1)
-    placed = sorted(placement.positions)
-    permutation_gates = []
-    for _ in range(2):
-        rng.shuffle(placed)
-        permutation_gates.extend(
-            cnot(placed[i], placed[i + 1]) for i in range(0, len(placed) - 1, 2)
-        )
-    factory_gates = list(factory.circuit.gates)
-    stitched_gates = factory_gates + permutation_gates
-
-    cases = [
-        ("factory", factory_gates, mc)
-        for mc in ((2,) if args.smoke else (2, 4, 8))
-    ]
-    if not args.smoke:
-        cases.append(("stitched-permutations", stitched_gates, 4))
-
-    def best_of(func):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            tick = time.perf_counter()
-            result = func()
-            best = min(best, time.perf_counter() - tick)
-        return best, result
-
-    records = []
-    mask_total = 0.0
-    reference_total = 0.0
-    for name, gates, max_candidates in cases:
-        config = SimulatorConfig(max_candidates=max_candidates)
-        mask_seconds, mask_result = best_of(
-            lambda: simulate(gates, placement, config)
-        )
-        reference_seconds, reference_result = best_of(
-            lambda: simulate_reference(
-                gates, placement, config, track_wakeups=False
-            )
-        )
-        mask_dict = mask_result.to_dict()
-        reference_dict = reference_result.to_dict()
-        # The untracked oracle reports wakeups=0 by construction; everything
-        # else must match byte for byte.
-        mask_wakeups = mask_dict.pop("wakeups")
-        reference_dict.pop("wakeups")
-        if mask_dict != reference_dict:
-            raise AssertionError(
-                f"sim-congestion: engines diverged on case {name} "
-                f"(max_candidates={max_candidates})"
-            )
-        mask_total += mask_seconds
-        reference_total += reference_seconds
-        records.append(
-            {
-                "case": name,
-                "max_candidates": max_candidates,
-                "gates": len(gates),
-                "mask_seconds": round(mask_seconds, 4),
-                "reference_seconds": round(reference_seconds, 4),
-                "speedup": round(reference_seconds / mask_seconds, 2)
-                if mask_seconds > 0
-                else None,
-                "latency": mask_result.latency,
-                "stall_cycles": mask_result.stall_cycles,
-                "stall_events": mask_result.stall_events,
-                "distinct_stalls": mask_result.distinct_stalls,
-                "wakeups": mask_wakeups,
-            }
-        )
-
-    return {
-        "experiment": SIM_CONGESTION_BENCH,
-        "params": {
-            "capacity": capacity,
-            "levels": levels,
-            "seed": seed,
-            "repeats": repeats,
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "sim": {
-            "placement": "random (congested)",
-            "grid": [placement.height, placement.width],
-            "cases": records,
-            "mask_total_seconds": round(mask_total, 4),
-            "reference_total_seconds": round(reference_total, 4),
-            "speedup": round(reference_total / mask_total, 2)
-            if mask_total > 0
-            else None,
-        },
-    }
-
-
-def _bench_sim_batch(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the batched simulator core against the per-point loop.
-
-    The scenario is the batched engine's target shape — a capacity sweep's
-    cache-miss batch: one circuit (the two-level K=16 factory; single-level
-    K=4 under ``--smoke``) swept over several random placements crossed
-    with a ``max_candidates`` range.  The whole point set is simulated once
-    as a per-point loop over the default bitmask/wakeup engine (the
-    ``sim-congestion`` baseline, one :func:`~repro.routing.simulate` call
-    per point) and once as a single
-    :func:`~repro.routing.batchsim.simulate_batch` call; every point must
-    agree field-for-field on ``to_dict()``.  Wall times are
-    best-of-``repeats``; the headline ``speedup`` is the loop total over
-    the batched total.  The record names the batched engine actually used
-    (``compiled``/``scalar``) so cross-machine records stay
-    interpretable.
-    """
-    from .mapping import random_circuit_placement
-    from .routing import SimulatorConfig, simulate
-    from .routing.batchsim import kernel_available, simulate_batch
-    from .routing.simulator import _gate_list
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    num_placements = 2 if args.smoke else 8
-    candidate_sweep = (2,) if args.smoke else (1, 2, 3, 4, 6, 8)
-    seed = args.seed if args.seed is not None else 0
-    repeats = 1 if args.smoke else 3
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    gates = _gate_list(factory.circuit)
-    placements = [
-        random_circuit_placement(factory.circuit, seed=seed + index)
-        for index in range(num_placements)
-    ]
-    configs = [SimulatorConfig(max_candidates=mc) for mc in candidate_sweep]
-    points = [
-        (gates, placement, config)
-        for placement in placements
-        for config in configs
-    ]
-
-    def best_of(func):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            tick = time.perf_counter()
-            result = func()
-            best = min(best, time.perf_counter() - tick)
-        return best, result
-
-    loop_seconds, loop_results = best_of(
-        lambda: [simulate(g, p, c) for g, p, c in points]
-    )
-    batch_seconds, batch_results = best_of(lambda: simulate_batch(points))
-    mismatched = sum(
-        1
-        for loop_result, batch_result in zip(loop_results, batch_results)
-        if loop_result.to_dict() != batch_result.to_dict()
-    )
-    if mismatched:
-        raise AssertionError(
-            f"sim-batch: batched engine diverged from the per-point engine "
-            f"on {mismatched} of {len(points)} points"
-        )
-    engine = "compiled" if kernel_available() else "scalar"
-    return {
-        "experiment": SIM_BATCH_BENCH,
-        "params": {
-            "capacity": capacity,
-            "levels": levels,
-            "seed": seed,
-            "repeats": repeats,
-            "placements": num_placements,
-            "candidate_sweep": list(candidate_sweep),
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "sim": {
-            "engine": engine,
-            "points": len(points),
-            "gates": len(gates),
-            "loop_total_seconds": round(loop_seconds, 4),
-            "batch_total_seconds": round(batch_seconds, 4),
-            "speedup": round(loop_seconds / batch_seconds, 2)
-            if batch_seconds > 0
-            else None,
-        },
-    }
-
-
-def _bench_sweep_shard(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark a k-shard simulated fleet against one single-store sweep.
-
-    The scenario is the distributed layer's target shape — a congested
-    fig7-style capacity sweep partitioned over three strided shards, each
-    running :func:`~repro.api.sharding.run_shard` against a private store,
-    then joined with :meth:`~repro.api.store.ResultStore.merge`.  The
-    fleet is *simulated* (shards run back to back in this process), so
-    the headline ``fleet_wall_seconds`` is the max of the per-shard walls
-    — what a real 3-machine fleet would wait — while ``wall_seconds``
-    keeps the actual serial cost of the whole bench entry.  The merged
-    store must answer a full resumed run with zero evaluations and
-    byte-identical output to the single-store run; the bench fails hard
-    otherwise, so every perf record doubles as an invariant check.
-    """
-    import shutil
-    import tempfile
-
-    shards = 3
-    strategy = "strided"
-    methods = ["linear", "force_directed"]
-    capacities = [2, 4] if args.smoke else [2, 3, 4, 6]
-    seed = args.seed if args.seed is not None else 0
-    plan = SweepPlan.from_grid(
-        methods=methods, capacities=capacities, levels=[1], seeds=[seed]
-    )
-    started = time.perf_counter()
-    root = tempfile.mkdtemp(prefix="repro-bench-shard-")
-    try:
-        single_store = ResultStore(os.path.join(root, "single"))
-        tick = time.perf_counter()
-        single = SweepExecutor(workers=1, store=single_store).run(plan)
-        single_seconds = time.perf_counter() - tick
-
-        shard_stores: List[ResultStore] = []
-        shard_walls: List[float] = []
-        for spec in shard_specs(shards, strategy):
-            shard_store = ResultStore(os.path.join(root, f"shard-{spec.index}"))
-            shard_stores.append(shard_store)
-            tick = time.perf_counter()
-            outcome = run_shard(plan, spec, shard_store)
-            shard_walls.append(time.perf_counter() - tick)
-            if outcome.yielded or outcome.stolen:
-                raise AssertionError(
-                    f"sweep-shard: claimless shard {spec.index} must neither "
-                    f"yield nor steal, got {outcome.to_dict()}"
-                )
-
-        merged = ResultStore(os.path.join(root, "merged"))
-        report = merged.merge([shard_store.root for shard_store in shard_stores])
-        if report.conflicts:
-            raise AssertionError(
-                f"sweep-shard: disjoint shards produced {report.conflicts} "
-                f"merge conflicts"
-            )
-        resumed = SweepExecutor(workers=1, store=merged).run(plan, resume=True)
-        if resumed.stats.evaluations != 0:
-            raise AssertionError(
-                f"sweep-shard: the merged store answered a resumed run with "
-                f"{resumed.stats.evaluations} fresh evaluations, expected 0"
-            )
-        if json.dumps(resumed.to_dict(), sort_keys=True) != json.dumps(
-            single.to_dict(), sort_keys=True
-        ):
-            raise AssertionError(
-                "sweep-shard: merged-store output is not byte-identical to "
-                "the single-store run"
-            )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    fleet_wall = max(shard_walls)
-    return {
-        "experiment": SWEEP_SHARD_BENCH,
-        "params": {
-            "shards": shards,
-            "strategy": strategy,
-            "methods": methods,
-            "capacities": capacities,
-            "seed": seed,
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": sum(e.latency for e in single.evaluations),
-        "stall_cycles": sum(e.stall_cycles for e in single.evaluations),
-        "evaluations": len(single.evaluations),
-        "shard": {
-            "shards": shards,
-            "strategy": strategy,
-            "plan_points": len(plan),
-            "merged_entries": report.merged,
-            "single_seconds": round(single_seconds, 4),
-            "fleet_wall_seconds": round(fleet_wall, 4),
-            "fleet_total_seconds": round(sum(shard_walls), 4),
-            "fleet_speedup": (
-                round(single_seconds / fleet_wall, 2) if fleet_wall > 0 else None
-            ),
-            "identical": True,
-        },
-    }
-
-
-def _bench_one(name: str, args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark one experiment and return its JSON-safe record."""
-    spec = get_experiment(name)
-    kwargs = _bench_kwargs(spec, args)
-    pipeline = default_pipeline()
-    before = pipeline.stats.snapshot()
-    take_last_run_stats()  # discard stats of any earlier, unrelated run
-    started = time.perf_counter()
-    result = spec.run(**kwargs)
-    wall_seconds = time.perf_counter() - started
-
-    record: Dict[str, Any] = {
-        "experiment": name,
-        "params": {key: value for key, value in kwargs.items()},
-        "workers": kwargs.get("workers", 1),
-        "wall_seconds": round(wall_seconds, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-    }
-    evaluations = getattr(result, "evaluations", None)
-    if evaluations:
-        record["evaluations"] = len(evaluations)
-        record["sim_cycles"] = sum(e.latency for e in evaluations)
-        record["stall_cycles"] = sum(e.stall_cycles for e in evaluations)
-
-    executor_stats = take_last_run_stats()
-    if executor_stats is not None:
-        # The sweep ran through a SweepExecutor (workers > 1): report its
-        # exact per-run accounting, aggregated across worker processes.
-        record["cache"] = executor_stats.to_dict()
-    else:
-        delta = pipeline.stats.delta(before)
-        record["cache"] = {
-            "evaluations": delta.evaluations,
-            "factory_builds": delta.factory_builds,
-            "factory_cache_hits": delta.cache_hits,
-            "sim_cache_hits": delta.sim_cache_hits,
-            "store_hits": delta.store_hits,
-            "fd_sweeps": delta.fd_sweeps,
-            "fd_moves_accepted": delta.fd_moves_accepted,
-            "sim_stall_events": delta.sim_stall_events,
-            "sim_distinct_stalls": delta.sim_distinct_stalls,
-            "sim_wakeups": delta.sim_wakeups,
-            "build_seconds": round(delta.build_seconds, 4),
-            "map_seconds": round(delta.map_seconds, 4),
-            "sim_seconds": round(delta.sim_seconds, 4),
-            "workers": 1,
-        }
-    return record
-
-
-def run_bench_compare(args: argparse.Namespace) -> int:
-    """The ``bench --compare`` mode: diff two records, gate on slowdowns."""
-    ignored = [
-        flag
-        for flag, used in (
-            ("--experiments", args.experiments is not None),
-            ("--output", args.output is not None),
-            ("--smoke", args.smoke),
-            ("--workers", args.workers != 1),
-            ("--seed", args.seed is not None),
-            ("--batch", args.batch),
-        )
-        if used
-    ]
-    if ignored:
-        print(
-            f"bench --compare: {', '.join(ignored)} only apply when "
-            f"benchmarking, not when comparing records",
-            file=sys.stderr,
-        )
-        return 2
-    old_path, new_path = args.compare
-    try:
-        old_record = load_bench_record(old_path)
-        new_record = load_bench_record(new_path)
-        comparison = compare_bench_records(
-            old_record,
-            new_record,
-            max_slowdown=(
-                args.max_slowdown if args.max_slowdown is not None else 1.5
-            ),
-            min_slowdown_seconds=(
-                args.min_slowdown_seconds
-                if args.min_slowdown_seconds is not None
-                else 0.05
-            ),
-        )
-    except (BenchRecordError, ValueError) as error:
-        print(f"bench --compare: {error}", file=sys.stderr)
-        return 2
-    print(comparison.format_table(strict=args.strict))
-    return comparison.exit_code(strict=args.strict)
-
-
-def run_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` command: time experiments and write the perf record."""
-    if args.compare is not None:
-        return run_bench_compare(args)
-    compare_only = [
-        flag
-        for flag, used in (
-            ("--max-slowdown", args.max_slowdown is not None),
-            ("--min-slowdown-seconds", args.min_slowdown_seconds is not None),
-            ("--strict", args.strict),
-        )
-        if used
-    ]
-    if compare_only:
-        print(
-            f"bench: {', '.join(compare_only)} only apply with --compare",
-            file=sys.stderr,
-        )
-        return 2
-    experiments = (
-        args.experiments
-        if args.experiments is not None
-        else ",".join(DEFAULT_BENCH_EXPERIMENTS)
-    )
-    names = [name.strip() for name in experiments.split(",") if name.strip()]
-    if args.workers < 1:
-        print(f"bench: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    known = set(available_experiments()) | {
-        FD_MAPPER_BENCH,
-        FD_KERNEL_BENCH,
-        SIM_CONGESTION_BENCH,
-        SIM_BATCH_BENCH,
-        SWEEP_SHARD_BENCH,
-    }
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(
-            f"bench: unknown experiment(s) {', '.join(unknown)}; "
-            f"see 'repro-msfu list'",
-            file=sys.stderr,
-        )
-        return 2
-    records = []
-    for name in names:
-        print(f"[bench] {name} ...", file=sys.stderr)
-        if name == FD_MAPPER_BENCH:
-            record = _bench_fd_mapper(args)
-        elif name == FD_KERNEL_BENCH:
-            record = _bench_fd_kernel(args)
-        elif name == SIM_CONGESTION_BENCH:
-            record = _bench_sim_congestion(args)
-        elif name == SIM_BATCH_BENCH:
-            record = _bench_sim_batch(args)
-        elif name == SWEEP_SHARD_BENCH:
-            record = _bench_sweep_shard(args)
-        else:
-            record = _bench_one(name, args)
-        print(
-            f"[bench] {name}: {record['wall_seconds']:.2f}s"
-            + (
-                f", {record['sim_cycles']} simulated cycles"
-                if record["sim_cycles"] is not None
-                else ""
-            ),
-            file=sys.stderr,
-        )
-        records.append(record)
-
-    payload = {
-        "schema": "repro-msfu-bench/v1",
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "smoke": bool(args.smoke),
-        # What the user asked for; each experiment entry's own "workers"
-        # records what actually ran (experiments without a workers param
-        # always run serially).
-        "requested_workers": args.workers,
-        # Provenance: lets `bench --compare` gate same-machine diffs hard and
-        # annotate cross-machine diffs as advisory instead of failing them.
-        "git_sha": current_git_sha(),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),  # legacy key, kept for old tooling
-        "python_version": platform.python_version(),
-        "platform": platform.platform(),
-        "experiments": records,
-        "total_wall_seconds": round(
-            sum(record["wall_seconds"] for record in records), 4
-        ),
-    }
-    output = args.output or datetime.now(timezone.utc).strftime(
-        "BENCH_%Y%m%dT%H%M%SZ.json"
-    )
-    # Atomic write: a crash mid-dump must never leave a truncated bench
-    # record for the compare gate to choke on (same discipline as the store).
-    atomic_write_json(output, payload, indent=2)
-    print(f"[bench record -> {output}]", file=sys.stderr)
-    return 0
-
-
 def _sweep_plan_from_args(args: argparse.Namespace) -> SweepPlan:
     """Build the plan for ``sweep run`` from ``--plan`` or the grid options."""
     # The validating wire decoder is shared with the HTTP service, so a bad
@@ -1598,11 +644,10 @@ def run_sweep_command(args: argparse.Namespace) -> int:
     if args.stream_output:
         # Streaming mode: every resolved point is appended to the JSONL
         # sink the moment it lands (and flushed), so a killed run leaves a
-        # complete record of everything it finished; the final result is
-        # assembled from the same events.
-        evaluations = [None] * len(plan)
+        # complete record of everything it finished.
         with open(args.stream_output, "a", encoding="utf-8") as handle:
-            for event in executor.stream(plan, resume=args.resume):
+
+            def write_line(event):
                 write_jsonl_line(
                     handle,
                     {
@@ -1616,12 +661,8 @@ def run_sweep_command(args: argparse.Namespace) -> int:
                         "evaluation": event.evaluation.to_dict(),
                     },
                 )
-                for index in event.plan_indices:
-                    evaluations[index] = event.evaluation
-        result = SweepRunResult(
-            evaluations=evaluations,
-            stats=take_last_run_stats() or ExecutorStats(),
-        )
+
+            result = executor.run(plan, resume=args.resume, progress=write_line)
     else:
         result = executor.run(plan, resume=args.resume)
     elapsed = time.time() - started
@@ -1922,26 +963,26 @@ def _render(
 
 
 def _normalize_run_argv(argv: Sequence[str]) -> List[str]:
-    """Hoist the experiment name directly after ``run``.
+    """Hoist the experiment name directly after the ``run`` command.
 
     The old flat parser accepted ``run --seed 1 fig6``; subparsers require
-    the experiment name first.  If the token after ``run`` is an option,
-    move the first token naming a registered experiment up front so both
-    orderings keep working.
+    the experiment name first.  If the command is ``run`` and the token
+    after it is an option, move the first token naming a registered
+    experiment up front so both orderings keep working.  Other commands
+    are left alone: ``sweep run --store fig6`` names a directory, not an
+    experiment.
     """
     tokens = list(argv)
-    try:
-        run_index = tokens.index("run")
-    except ValueError:
+    if not tokens or tokens[0] != "run":
         return tokens
-    rest = tokens[run_index + 1 :]
+    rest = tokens[1:]
     if not rest or not rest[0].startswith("-"):
         return tokens
     known = set(available_experiments())
     for index, token in enumerate(rest):
         if token in known:
             rest.pop(index)
-            return tokens[: run_index + 1] + [token] + rest
+            return ["run", token] + rest
     return tokens
 
 
@@ -1967,9 +1008,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 suffix = f"  — {description}" if description else ""
                 print(f"  {name}{suffix}")
         return 0
-
-    if args.command == "bench":
-        return run_bench(args)
 
     if args.command == "sweep":
         return run_sweep_command(args)

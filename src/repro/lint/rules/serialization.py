@@ -1,10 +1,10 @@
 """Rule: serializable dataclasses must round-trip.
 
-Result records (`ExecutorStats`, `SweepRunResult`, `GcReport`, bench
-comparison rows, …) cross process and disk boundaries as JSON.  A dataclass
-that can serialize (``to_dict``) but not parse (``from_dict``) — or the
-reverse — breaks resumable sweeps, the HTTP wire format, and the bench
-history tooling the moment someone round-trips it.  The rule flags every
+Result records (`ExecutorStats`, `SweepRunResult`, `GcReport`, …) cross
+process and disk boundaries as JSON.  A dataclass that can serialize
+(``to_dict``) but not parse (``from_dict``) — or the reverse — breaks
+resumable sweeps and the HTTP wire format the moment someone round-trips
+it.  The rule flags every
 ``@dataclass`` whose body defines exactly one of the pair.
 """
 

@@ -20,8 +20,11 @@ from repro.api import (
     SweepProgress,
     SweepRunResult,
     capacity_sweep,
+    get_mapper,
     recommended_workers,
+    register_mapper,
     run_sweep,
+    unregister_mapper,
 )
 from repro.api.executor import ExecutorStats
 from repro.api.pipeline import PipelineStats
@@ -441,92 +444,6 @@ class TestWorkersIntegration:
             assert "workers" in params, name
 
 
-class TestBenchCommand:
-    def test_bench_smoke_writes_record(self, tmp_path, capsys):
-        from repro.cli import main
-
-        output = tmp_path / "BENCH_test.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--experiments",
-                "table1-level1",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        record = json.loads(output.read_text())
-        assert record["schema"] == "repro-msfu-bench/v1"
-        assert record["smoke"] is True
-        [entry] = record["experiments"]
-        assert entry["experiment"] == "table1-level1"
-        assert entry["wall_seconds"] > 0
-        assert entry["sim_cycles"] > 0
-        assert entry["evaluations"] > 0
-        assert entry["cache"]["evaluations"] == entry["evaluations"]
-        assert record["total_wall_seconds"] >= entry["wall_seconds"]
-
-    def test_bench_workers_records_executor_stats(self, tmp_path):
-        from repro.cli import main
-
-        output = tmp_path / "BENCH_workers.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--workers",
-                "2",
-                "--experiments",
-                "fig7a",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        record = json.loads(output.read_text())
-        [entry] = record["experiments"]
-        assert entry["workers"] == 2
-        assert entry["cache"]["workers"] == 2
-        assert entry["cache"]["requests"] == entry["evaluations"]
-
-
-class TestSimCongestionBench:
-    def test_bench_smoke_sim_congestion(self, tmp_path):
-        """The sim-congestion case emits engine-vs-reference timings."""
-        from repro.cli import main
-
-        output = tmp_path / "BENCH_sim.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--experiments",
-                "sim-congestion",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
-        record = json.loads(output.read_text())
-        [entry] = record["experiments"]
-        assert entry["experiment"] == "sim-congestion"
-        sim = entry["sim"]
-        assert sim["cases"], "at least one congestion case must run"
-        for case in sim["cases"]:
-            assert case["mask_seconds"] >= 0
-            assert case["reference_seconds"] >= 0
-            assert case["stall_events"] >= case["wakeups"] >= 0
-        assert sim["mask_total_seconds"] > 0
-        assert sim["reference_total_seconds"] > 0
-
-    def test_bench_default_experiments_include_sim_congestion(self):
-        from repro.cli import DEFAULT_BENCH_EXPERIMENTS, SIM_CONGESTION_BENCH
-
-        assert SIM_CONGESTION_BENCH in DEFAULT_BENCH_EXPERIMENTS
-
-
 # ----------------------------------------------------------------------
 # The progress callback (the sweep service's window into a running plan)
 # ----------------------------------------------------------------------
@@ -586,6 +503,19 @@ class TestSweepProgress:
         assert by_source["store"] == result.stats.store_hits == 2
         assert by_source["evaluated"] == result.stats.evaluations == 2
 
+    def test_every_plan_index_resolves_from_the_store_on_resume(self, tmp_path):
+        store = tmp_path / "store"
+        plan = small_plan()
+        _, first = self.collect(plan, store=store, resume=True)
+        assert len(first) == len(plan)
+        assert first[-1].done == len(plan)
+        covered = sorted(i for event in first for i in event.plan_indices)
+        assert covered == list(range(len(plan)))
+        # Resumed run: the same events, now all served from the store.
+        result, resumed = self.collect(plan, store=store, resume=True)
+        assert [event.source for event in resumed] == ["store"] * len(plan)
+        assert result.stats.store_hits == len(plan)
+
     def test_parallel_run_fires_the_same_events(self, tmp_path):
         plan = small_plan()
         serial_result, serial_events = self.collect(plan)
@@ -608,3 +538,23 @@ class TestSweepProgress:
 
         with pytest.raises(RuntimeError, match="observer failure"):
             SweepExecutor().run(small_plan(), progress=explode)
+
+    def test_mapper_failure_delivers_earlier_events_then_raises(self):
+        linear = get_mapper("linear")
+        calls = {"n": 0}
+
+        def flaky(factory, seed=0, context=None):
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise RuntimeError("boom")
+            return linear.place(factory, seed=seed, context=context)
+
+        plan = SweepPlan.from_grid(methods=("flaky-progress",), capacities=(2, 3, 4))
+        register_mapper(flaky, name="flaky-progress")
+        try:
+            events = []
+            with pytest.raises(RuntimeError, match="boom"):
+                SweepExecutor().run(plan, progress=events.append)
+            assert [event.done for event in events] == [1, 2]
+        finally:
+            unregister_mapper("flaky-progress")

@@ -9,7 +9,10 @@ Fig. 10 sweeps map (capacities 4 and 16), the placement fingerprint and the
 the ``hierarchical_stitching`` placement and hop map at seed 0.  On the
 stitched placement it also pins the hop map of ``optimize_permutation_hops``
 for both annealed hop modes at seeds 0-2, and the Fig. 9c/9d latency table
-at K=4.
+at K=4.  Finally it pins the canonical ``to_dict()`` and the summed latency
+and stall cycles of five paper experiments at small inputs (Fig. 7a/7b,
+Table I level 1, Fig. 6, Fig. 10 single-level), the only place the
+simulated cycle counts of the paper workloads are written down.
 
 Any intended trajectory change must update these values and say why.
 """
@@ -17,10 +20,11 @@ Any intended trajectory change must update these values and say why.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
-from repro.api import get_mapper
+from repro.api import get_experiment, get_mapper
 from repro.distillation import build_two_level_factory
 from repro.experiments import fig9_permutation
 from repro.mapping.force_directed import take_refine_stats
@@ -65,6 +69,17 @@ FIG9_GOLDEN = {
     "random": {4: 36},
     "annealed_random": {4: 36},
     "annealed_midpoint": {4: 28},
+}
+
+#: experiment -> (kwargs, canonical ``to_dict()`` digest, summed latency,
+#: summed stall cycles).  Fig. 6 reports per-mapping latencies only, so its
+#: stall sum is ``None``.
+EXPERIMENT_GOLDEN = {
+    "fig7a": ({"capacities": [2, 4]}, "b9c0c1bfaa2692e0", 160, 92),
+    "fig7b": ({"capacities": [4]}, "fe286b048c664f62", 220, 742),
+    "table1-level1": ({"capacities": [2]}, "32d30c42e89bd7ce", 168, 84),
+    "fig6": ({"num_mappings": 5}, "0550549e31247c81", 400, None),
+    "fig10-single": ({"capacities": [2, 4]}, "82fe06fb3949f139", 224, 96),
 }
 
 
@@ -131,3 +146,19 @@ def test_permutation_hops_are_pinned(stitched_mappings, mode, capacity, seed):
 def test_fig9_permutation_latencies_are_pinned():
     result = fig9_permutation.run(capacities=[4], seed=0)
     assert result.by_mode() == FIG9_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_GOLDEN))
+def test_experiment_outputs_are_pinned(name):
+    kwargs, digest, latency, stall_cycles = EXPERIMENT_GOLDEN[name]
+    result = get_experiment(name).run(**kwargs)
+    canonical = json.dumps(result.to_dict(), sort_keys=True)
+    evaluations = getattr(result, "evaluations", None)
+    if evaluations is None:
+        sums = (sum(sample.latency for sample in result.study.samples), None)
+    else:
+        sums = (
+            sum(e.latency for e in evaluations),
+            sum(e.stall_cycles for e in evaluations),
+        )
+    assert (_digest(canonical), *sums) == (digest, latency, stall_cycles)

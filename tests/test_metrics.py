@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.api import default_pipeline
 from repro.graphs import (
     MappingCostTracker,
     average_edge_length,
@@ -15,6 +16,7 @@ from repro.graphs import (
     count_edge_crossings_reference,
     edge_midpoint,
     euclidean_distance,
+    interaction_graph,
     manhattan_distance,
     mapping_cost,
     mapping_metrics,
@@ -22,6 +24,7 @@ from repro.graphs import (
     segments_intersect,
     total_edge_length,
 )
+from repro.mapping import linear_factory_placement
 
 
 def square_graph():
@@ -190,6 +193,17 @@ class TestBucketedParity:
             assert count_edge_crossings(graph, positions) == (
                 count_edge_crossings_reference(graph, positions)
             ), f"trial {trial}"
+
+    @pytest.mark.parametrize("capacity,levels", [(4, 1), (16, 2)])
+    def test_crossings_match_reference_on_factory_linear_placement(
+        self, capacity, levels
+    ):
+        factory = default_pipeline().factory(capacity, levels)
+        graph = interaction_graph(factory.circuit)
+        positions = linear_factory_placement(factory).as_float_positions()
+        assert count_edge_crossings(graph, positions) == (
+            count_edge_crossings_reference(graph, positions)
+        )
 
     def test_crossings_match_reference_any_bucket_size(self):
         rng = random.Random(3)

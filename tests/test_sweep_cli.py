@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.api import ResultStore, SweepExecutor, SweepPlan
 from repro.cli import main
 
@@ -126,6 +128,62 @@ class TestSweepRun:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == "repro-msfu-sweep/v1"
+
+    def test_stream_output_reports_the_same_stats(self, tmp_path, capsys):
+        """``--stream-output`` changes where points go, not the result."""
+        argv = [
+            "sweep",
+            "run",
+            "--methods",
+            METHODS,
+            "--capacities",
+            "2,3,4",
+            "--json",
+        ]
+        assert run_cli(argv + ["--store", str(tmp_path / "plain")]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        stream_path = tmp_path / "points.jsonl"
+        streamed_argv = argv + [
+            "--store",
+            str(tmp_path / "streamed"),
+            "--stream-output",
+            str(stream_path),
+        ]
+        assert run_cli(streamed_argv) == 0
+        streamed = json.loads(capsys.readouterr().out)
+
+        def counters(stats):
+            return {k: v for k, v in stats.items() if not k.endswith("_seconds")}
+
+        assert counters(streamed["stats"]) == counters(plain["stats"])
+        assert streamed["evaluations"] == plain["evaluations"]
+
+        # A serial run resolves the plan in order, one line per point.
+        plan = SweepPlan.from_grid(methods=METHODS.split(","), capacities=(2, 3, 4))
+        lines = [json.loads(line) for line in stream_path.read_text().splitlines()]
+        assert lines == [
+            {
+                "schema": "repro-msfu-stream/v1",
+                "kind": "run",
+                "done": index + 1,
+                "total": len(plan),
+                "source": "evaluated",
+                "plan_indices": [index],
+                "request": plan[index].to_dict(),
+                "evaluation": plain["evaluations"][index],
+            }
+            for index in range(len(plan))
+        ]
+
+    @pytest.mark.parametrize(
+        "extra", [["--store", "fig6"], ["--output", "fig6", "--json"]]
+    )
+    def test_paths_named_after_an_experiment(self, tmp_path, monkeypatch, extra):
+        """Only ``run`` hoists experiment names; sweep paths stay put."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "run", "--methods", "linear", "--capacities", "2"]
+        assert run_cli(argv + extra) == 0
+        assert (tmp_path / "fig6").exists()
 
     def test_grid_and_plan_are_mutually_exclusive(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
