@@ -30,35 +30,30 @@ Two implementations of the quadratic metrics exist side by side:
 under single-vertex moves (only edges incident to the moved vertices are
 re-tested against their bucket neighbourhoods), which is what lets the
 force-directed annealer of Section VI-B.1 accept or reject every move
-against the exact combined cost at any graph size.  The tracker ships
-three interchangeable engines — ``compiled`` (the runtime-built C kernel
-of :mod:`repro.kernels.metrics`), ``vector`` (numpy) and ``scalar``
-(pure Python, the retained oracle) — that are **bit-identical** on every
-value they produce: distances use only correctly-rounded IEEE operations
+against the exact combined cost at any graph size.  The tracker has two
+engines: ``compiled`` (the runtime-built C kernel of
+:mod:`repro.kernels.metrics`) runs whenever the kernel loads and every
+vertex id is an int64 integer; otherwise ``scalar`` (pure Python, the
+retained oracle) runs.  The two are **bit-identical** on every value
+they produce: distances use only correctly-rounded IEEE operations
 (``sqrt(dr*dr + dc*dc)``, never ``hypot``), every row reduction is a
 binary tree fold over the row zero-padded to a power-of-two length, and
-the C build disables FMA contraction.  ``REPRO_METRICS_ENGINE`` forces
-an engine; the differential fuzz harness (tests/test_metrics_fuzz.py)
-pins the parity.
+the C build disables FMA contraction.  The differential fuzz harness
+(tests/test_metrics_fuzz.py) pins the parity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import weakref
+import numbers
 from collections import defaultdict
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as _np
 
 from ..kernels import metrics as _metrics_kernel
-
-try:  # Optional: vectorises the O(m^2) spacing sums when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
 
 Position = Tuple[float, float]
 PositionMap = Mapping[int, Position]
@@ -136,13 +131,13 @@ def _edge_midpoints(graph: nx.Graph, positions: PositionMap) -> List[Position]:
 def _pairwise_distance_sum(midpoints: Sequence[Position]) -> float:
     """Exact sum of Euclidean distances over all unordered midpoint pairs.
 
-    Uses numpy block evaluation when available (identical result up to
-    floating-point summation order); falls back to the pairwise loop.
+    Uses numpy block evaluation from 64 midpoints on (identical result up
+    to floating-point summation order) and the pairwise loop below that.
     """
     n = len(midpoints)
     if n < 2:
         return 0.0
-    if _np is not None and n >= 64:
+    if n >= 64:
         arr = _np.asarray(midpoints, dtype=float)
         total = 0.0
         chunk = 256
@@ -440,35 +435,36 @@ def mapping_cost(
 # ----------------------------------------------------------------------
 #
 # The tracker below is split into a shared Python core (positions, edge
-# bookkeeping, the scalar metric sums, move snapshots) and three
-# interchangeable *engines* that own the geometry state — segment
-# endpoints, midpoints, the bucket grid and the per-edge spacing row-sum
-# cache R[i] = treefold_j dist(mid_i, mid_j):
+# bookkeeping, the scalar metric sums) and two interchangeable *engines*
+# that own the geometry state — segment endpoints, midpoints, the bucket
+# grid and the per-edge spacing row-sum cache
+# R[i] = treefold_j dist(mid_i, mid_j):
 #
 # ============  =========================  ==============================
 # engine        geometry state             crossing / spacing evaluation
 # ============  =========================  ==============================
 # ``compiled``  flat numpy arrays          C kernel (repro.kernels.metrics)
-# ``vector``    flat numpy arrays          numpy + dict bucket grid
 # ``scalar``    Python lists               pure Python (retained oracle)
 # ============  =========================  ==============================
 #
-# The engines are **bit-identical** on every float they produce.  Three
-# rules make that possible:
+# ``compiled`` runs when the kernel loads and every vertex id is an
+# int64 integer (the kernel excludes shared endpoints by comparing ids);
+# ``scalar`` runs otherwise.  The engines are **bit-identical** on every
+# float they produce.  Three rules make that possible:
 #
 # * midpoint distances are ``sqrt(dr*dr + dc*dc)`` — one multiply per
 #   axis, one add, one correctly-rounded sqrt; never ``hypot`` (libm
 #   hypots differ across platforms and numpy);
 # * every reduction over a distance row is a binary **tree fold** of the
-#   row zero-padded to a power-of-two length — the same tree shape in C,
-#   numpy (stride-halving adds) and Python (pairwise list halving);
+#   row zero-padded to a power-of-two length — the same tree shape in C
+#   and Python (pairwise list halving);
 # * the tiny k-term sums of a move delta (old-row totals, intra-changed
 #   midpoint terms, the length updates, the final cost assembly) run in
 #   shared Python code, so each engine contributes only the big
 #   tree-folded terms it computed under the rules above.
 #
 # The C kernel is compiled with ``-ffp-contract=off`` so no FMA ever
-# fuses the multiply-adds the Python engines evaluate separately.
+# fuses the multiply-adds the Python engine evaluates separately.
 
 _GRID_MARGIN = 4  # dense-grid slack (cells) around the initial extent
 
@@ -476,14 +472,12 @@ _GRID_MARGIN = 4  # dense-grid slack (cells) around the initial extent
 def tracker_engines() -> List[str]:
     """Tracker engine names usable in this environment.
 
-    Always includes ``scalar``; ``vector`` needs numpy and ``compiled``
-    additionally needs the runtime-built metrics kernel.
+    Always includes ``scalar``; ``compiled`` needs the runtime-built
+    metrics kernel.
     """
     engines = ["scalar"]
-    if _np is not None:
-        engines.append("vector")
-        if _metrics_kernel.available():
-            engines.append("compiled")
+    if _metrics_kernel.available():
+        engines.append("compiled")
     return engines
 
 
@@ -536,64 +530,6 @@ def _intra_crossings(
             if _segments_cross(p, q, pc, pd):
                 count += 1
     return count
-
-
-# --- auto bucket-size memo -------------------------------------------------
-#
-# Repeated tracker builds over the same graph at the same layout extent
-# (the bench oracles re-evaluate one placement many times; refinement
-# pipelines rebuild trackers per stage) used to re-run the O(m) sizing
-# scan every time.  The memo keys on the graph object (weakly — dropping
-# the graph drops its entry) plus the layout extent, because the sizing
-# only depends on segment spans, which the extent bounds.
-
-_BUCKET_SIZE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_BUCKET_AUTO_SIZINGS = 0
-
-
-def bucket_auto_sizing_count() -> int:
-    """How many times the auto bucket sizing scan actually ran (tests)."""
-    return _BUCKET_AUTO_SIZINGS
-
-
-def _auto_bucket_size_cached(
-    graph: nx.Graph, ends: Sequence[Tuple[int, int, Position, Position]]
-) -> float:
-    global _BUCKET_AUTO_SIZINGS
-    if not ends:
-        return 1.0
-    min_r = min_c = math.inf
-    max_r = max_c = -math.inf
-    for _, _, p, q in ends:
-        for row, col in (p, q):
-            if row < min_r:
-                min_r = row
-            if row > max_r:
-                max_r = row
-            if col < min_c:
-                min_c = col
-            if col > max_c:
-                max_c = col
-    key = (len(ends), min_r, max_r, min_c, max_c)
-    try:
-        per_graph = _BUCKET_SIZE_MEMO.get(graph)
-    except TypeError:  # graph not weak-referenceable: skip the cache
-        per_graph = None
-        cacheable = False
-    else:
-        cacheable = True
-    if per_graph is not None and key in per_graph:
-        return per_graph[key]
-    _BUCKET_AUTO_SIZINGS += 1
-    size = _auto_bucket_size(ends)
-    if cacheable:
-        if per_graph is None:
-            try:
-                per_graph = _BUCKET_SIZE_MEMO.setdefault(graph, {})
-            except TypeError:
-                return size
-        per_graph[key] = size
-    return size
 
 
 # --- scalar engine ---------------------------------------------------------
@@ -722,7 +658,7 @@ class _ScalarTrackerEngine:
             self._cells[i] = cells
 
 
-# --- vector engine ---------------------------------------------------------
+# --- segment predicates over arrays ---------------------------------------
 def _np_segments_cross(query, cand):
     """Elementwise :func:`_segments_cross` over broadcastable segment arrays.
 
@@ -774,155 +710,6 @@ def segments_intersect_array(query, cand):
     b1, b2 = cand[..., 0:2], cand[..., 2:4]
     shared = same(a1, b1) | same(a1, b2) | same(a2, b1) | same(a2, b2)
     return _np_segments_cross(query, cand) & ~shared
-
-
-def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
-    """Crossing count over explicit (query segment, candidate index) pairs.
-
-    ``query`` rows are ``(p_row, p_col, q_row, q_col)`` segments tested
-    against ``seg[idx]`` with :func:`_np_segments_cross`; vertex-identity
-    exclusion uses ``query_u``/``query_v`` against the candidate endpoint
-    arrays.
-    """
-    cand_u = end_u[idx]
-    cand_v = end_v[idx]
-    keep = (
-        (cand_u != query_u)
-        & (cand_u != query_v)
-        & (cand_v != query_u)
-        & (cand_v != query_v)
-    )
-    if not keep.any():
-        return 0
-    return int(_np_segments_cross(query[keep], seg[idx[keep]]).sum())
-
-
-class _VectorTrackerEngine:
-    """numpy engine: flat arrays, dict bucket grid, vectorized predicates."""
-
-    name = "vector"
-
-    def __init__(self, edges, ends, mids, bucket_size):
-        self._eu = [a for a, _, _ in edges]
-        self._ev = [b for _, b, _ in edges]
-        m = len(ends)
-        self._m = m
-        self._pad = _pow2_pad(m)
-        self._end_u = _np.asarray(self._eu)
-        self._end_v = _np.asarray(self._ev)
-        self._seg = _np.asarray(
-            [(p[0], p[1], q[0], q[1]) for p, q in ends], dtype=float
-        ).reshape(m, 4)
-        self._mid = _np.asarray(mids, dtype=float).reshape(m, 2)
-        self._grid = _SegmentGrid(bucket_size)
-        self._cells: List[List[Tuple[int, int]]] = []
-        self.crossings = 0
-        for index, (p, q) in enumerate(ends):
-            cells = self._grid.cells(p, q)
-            cand = self._grid.candidates(cells)
-            if cand:
-                self.crossings += self._count_pairs(index, p, q, cand)
-            self._grid.insert(index, cells)
-            self._cells.append(cells)
-        if m:
-            dr = self._mid[:, 0][:, None] - self._mid[:, 0][None, :]
-            dc = self._mid[:, 1][:, None] - self._mid[:, 1][None, :]
-            self._R = self._fold_rows(_np.sqrt(dr * dr + dc * dc))
-        else:
-            self._R = _np.zeros(0, dtype=float)
-        self.spacing_sum = self._fold(self._R) * 0.5
-
-    def _fold(self, values):
-        buf = _np.zeros(self._pad, dtype=float)
-        buf[: values.shape[0]] = values
-        while buf.shape[0] > 1:
-            buf = buf[0::2] + buf[1::2]
-        return float(buf[0])
-
-    def _fold_rows(self, matrix):
-        buf = _np.zeros((matrix.shape[0], self._pad), dtype=float)
-        buf[:, : matrix.shape[1]] = matrix
-        while buf.shape[1] > 1:
-            buf = buf[:, 0::2] + buf[:, 1::2]
-        return buf[:, 0]
-
-    def _count_pairs(self, index, p, q, candidates):
-        idx = _np.fromiter(candidates, dtype=_np.intp, count=len(candidates))
-        n = idx.size
-        query = _np.empty((n, 4))
-        query[:] = (p[0], p[1], q[0], q[1])
-        a, b = self._eu[index], self._ev[index]
-        return _np_pairs_crossing_count(
-            self._seg, self._end_u, self._end_v,
-            idx, query, _np.full(n, a), _np.full(n, b),
-        )
-
-    def row_sum(self, index: int) -> float:
-        return float(self._R[index])
-
-    def eval(self, changed, new_ends, new_mids):
-        changed_set = set(changed)
-        old_cross = 0
-        new_cross = 0
-        grid = self._grid
-        for t, i in enumerate(changed):
-            old_cand = grid.candidates(self._cells[i]) - changed_set
-            if old_cand:
-                p = (float(self._seg[i, 0]), float(self._seg[i, 1]))
-                q = (float(self._seg[i, 2]), float(self._seg[i, 3]))
-                old_cross += self._count_pairs(i, p, q, old_cand)
-            np_, nq = new_ends[t]
-            new_cand = grid.candidates(grid.cells(np_, nq)) - changed_set
-            if new_cand:
-                new_cross += self._count_pairs(i, np_, nq, new_cand)
-        old_segs = [
-            (
-                (float(self._seg[i, 0]), float(self._seg[i, 1])),
-                (float(self._seg[i, 2]), float(self._seg[i, 3])),
-            )
-            for i in changed
-        ]
-        old_cross += _intra_crossings(changed, old_segs, self._eu, self._ev)
-        new_cross += _intra_crossings(changed, new_ends, self._eu, self._ev)
-        nm = _np.asarray(new_mids, dtype=float).reshape(len(changed), 2)
-        dr = nm[:, 0:1] - self._mid[:, 0][None, :]
-        dc = nm[:, 1:2] - self._mid[:, 1][None, :]
-        dists = _np.sqrt(dr * dr + dc * dc)
-        dists[:, list(changed)] = 0.0
-        newrows = [float(value) for value in self._fold_rows(dists)]
-        return newrows, old_cross, new_cross
-
-    def flush(self, changed, new_ends, new_mids):
-        mid = self._mid
-        R = self._R
-        for t, i in enumerate(changed):
-            new_row, new_col = new_mids[t]
-            old_row, old_col = float(mid[i, 0]), float(mid[i, 1])
-            dr = mid[:, 0] - new_row
-            dc = mid[:, 1] - new_col
-            d_new = _np.sqrt(dr * dr + dc * dc)
-            dr = mid[:, 0] - old_row
-            dc = mid[:, 1] - old_col
-            d_old = _np.sqrt(dr * dr + dc * dc)
-            R += d_new - d_old
-        for t, i in enumerate(changed):
-            p, q = new_ends[t]
-            self._seg[i, 0] = p[0]
-            self._seg[i, 1] = p[1]
-            self._seg[i, 2] = q[0]
-            self._seg[i, 3] = q[1]
-            mid[i, 0] = new_mids[t][0]
-            mid[i, 1] = new_mids[t][1]
-        for i in changed:
-            dr = mid[i, 0] - mid[:, 0]
-            dc = mid[i, 1] - mid[:, 1]
-            R[i] = self._fold(_np.sqrt(dr * dr + dc * dc))
-        for t, i in enumerate(changed):
-            self._grid.remove(i, self._cells[i])
-            p, q = new_ends[t]
-            cells = self._grid.cells(p, q)
-            self._grid.insert(i, cells)
-            self._cells[i] = cells
 
 
 # --- compiled engine -------------------------------------------------------
@@ -1088,13 +875,27 @@ class _CompiledTrackerEngine:
             self._rebuild_grid()
 
 
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
 def _int64_vertex_arrays(edges):
-    """(end_u, end_v) as int64 arrays, or None when ids are not integers."""
-    try:
-        end_u = _np.asarray([a for a, _, _ in edges], dtype=_np.int64)
-        end_v = _np.asarray([b for _, b, _ in edges], dtype=_np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
+    """(end_u, end_v) as int64 arrays, or None unless every id is an int64 integer.
+
+    The kernel excludes edge pairs that share an endpoint by comparing
+    ids, so the cast must keep distinct ids distinct.  numpy would accept
+    more: it truncates floats (0.5 and 0.7 both become 0) and parses digit
+    strings ("1" and "01" both become 1), merging vertices.
+    """
+    for a, b, _ in edges:
+        for vertex in (a, b):
+            if not (
+                isinstance(vertex, numbers.Integral)
+                and _INT64_MIN <= vertex <= _INT64_MAX
+            ):
+                return None
+    end_u = _np.asarray([a for a, _, _ in edges], dtype=_np.int64)
+    end_v = _np.asarray([b for _, b, _ in edges], dtype=_np.int64)
     return end_u, end_v
 
 
@@ -1111,16 +912,14 @@ class MappingCostTracker:
     O(m^2) per recompute.
 
     An annealer's dominant path is *propose, inspect, reject*: use
-    :meth:`evaluate` (pure) plus :meth:`commit_evaluated`.
-    :meth:`apply` keeps the historical move-then-revert protocol:
-    :meth:`revert_last` restores the pre-move state exactly and in O(1),
-    because the heavy geometry updates are deferred until the *next*
-    evaluation needs them (a reverted move never touches the engine).
+    :meth:`evaluate` (pure) plus :meth:`commit_evaluated`.  :meth:`apply`
+    is the two in one call.
 
-    ``engine`` selects the evaluation backend (``compiled`` / ``vector``
-    / ``scalar``, see the section comment above; ``None`` honours
-    ``REPRO_METRICS_ENGINE`` and then auto-selects the fastest available).
-    All engines are bit-identical on every reported value.
+    ``engine`` is ``None`` (``compiled`` when the metrics kernel loads
+    and every vertex id is an int64 integer, otherwise ``scalar``; see
+    the section comment above) or one of those names, which raises
+    :class:`ValueError` when it cannot run.  Both engines are
+    bit-identical on every reported value.
 
     Vertices present in ``positions`` but not in the graph (or isolated
     in it) may be moved freely; they contribute nothing to any metric.
@@ -1165,9 +964,8 @@ class MappingCostTracker:
         ]
 
         if bucket_size is None:
-            bucket_size = _auto_bucket_size_cached(
-                graph,
-                [(a, b, p, q) for (a, b, _), (p, q) in zip(self._edges, self._ends)],
+            bucket_size = _auto_bucket_size(
+                [(a, b, p, q) for (a, b, _), (p, q) in zip(self._edges, self._ends)]
             )
         if bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {bucket_size}")
@@ -1184,61 +982,35 @@ class MappingCostTracker:
         self.crossings: int = self._engine.crossings
         self.spacing_sum: float = self._engine.spacing_sum
         #: Cached combined cost of the committed state (pure function of
-        #: the three sums above; refreshed on commit and revert).
+        #: the three sums above; refreshed on commit).
         self._cost_value: float = self._cost_from(
             self.crossings, self.total_edge_length, self.spacing_sum
         )
 
-        #: Committed move whose geometry the engine has not absorbed yet.
-        self._pending: Optional[tuple] = None
         #: Result of the last :meth:`evaluate`, awaiting commit.
         self._pending_eval: Optional[tuple] = None
-        #: Snapshot for :meth:`revert_last`; ``None`` when nothing to revert.
-        self._last_move: Optional[tuple] = None
 
     def _build_engine(self, requested: Optional[str], bucket_size: float):
-        name = requested if requested is not None else (
-            os.environ.get("REPRO_METRICS_ENGINE") or "auto"
-        )
-        if name not in ("auto", "compiled", "vector", "scalar"):
+        if requested not in (None, "compiled", "scalar"):
             raise ValueError(
-                f"unknown tracker engine {name!r}; "
-                "expected 'compiled', 'vector', 'scalar' or 'auto'"
+                f"unknown tracker engine {requested!r}; "
+                "expected 'compiled', 'scalar' or None"
             )
-        explicit = name != "auto"
-        if name == "auto":
-            if _np is not None and _metrics_kernel.available():
-                name = "compiled"
-            elif _np is not None and len(self._edges) >= 64:
-                name = "vector"
-            else:
-                name = "scalar"
-        if name == "compiled":
-            kern = _metrics_kernel.load() if _np is not None else None
+        if requested != "scalar":
+            kern = _metrics_kernel.load()
             ids = _int64_vertex_arrays(self._edges) if kern is not None else None
-            if kern is None or ids is None:
-                if explicit:
-                    reason = (
-                        "the metrics kernel (or numpy) is unavailable"
-                        if kern is None
-                        else "vertex ids are not int64-representable"
-                    )
-                    raise ValueError(f"engine 'compiled' unusable: {reason}")
-                name = "vector" if _np is not None else "scalar"
-            else:
+            if ids is not None:
                 return _CompiledTrackerEngine(
                     self._edges, self._ends, self._mids, bucket_size,
                     kern, ids[0], ids[1],
                 )
-        if name == "vector":
-            if _np is None:
-                if explicit:
-                    raise ValueError("engine 'vector' requires numpy")
-                name = "scalar"
-            else:
-                return _VectorTrackerEngine(
-                    self._edges, self._ends, self._mids, bucket_size
+            if requested == "compiled":
+                reason = (
+                    "the metrics kernel is unavailable"
+                    if kern is None
+                    else "vertex ids are not all int64 integers"
                 )
+                raise ValueError(f"engine 'compiled' unusable: {reason}")
         return _ScalarTrackerEngine(
             self._edges, self._ends, self._mids, bucket_size
         )
@@ -1286,22 +1058,15 @@ class MappingCostTracker:
     # ------------------------------------------------------------------
     # Move evaluation
     # ------------------------------------------------------------------
-    def _flush_pending(self) -> None:
-        if self._pending is not None:
-            changed, new_ends, new_mids = self._pending
-            self._pending = None
-            self._engine.flush(changed, new_ends, new_mids)
-
     def _prepare(self, updates: Mapping[int, Position]):
         moves: Dict[int, Position] = {}
         for vertex, pos in updates.items():
             if vertex in self._positions:
                 moves[vertex] = (float(pos[0]), float(pos[1]))
-        moved_from = {vertex: self._positions[vertex] for vertex in moves}
         changed: List[int] = sorted(
             {index for vertex in moves for index in self._incident.get(vertex, ())}
         )
-        return moves, moved_from, changed
+        return moves, changed
 
     def _geometry_for(self, moves: Mapping[int, Position], changed: Sequence[int]):
         positions = self._positions
@@ -1372,11 +1137,10 @@ class MappingCostTracker:
         geometry test runs twice).  Unknown vertices are ignored; moves
         that touch no edge cost 0.0.
         """
-        moves, moved_from, changed = self._prepare(updates)
+        moves, changed = self._prepare(updates)
         if not moves or not changed:
-            self._pending_eval = (moves, moved_from, changed, None)
+            self._pending_eval = (moves, changed, None)
             return 0.0
-        self._flush_pending()
         new_ends, new_mids = self._geometry_for(moves, changed)
         newrows, old_cross, new_cross = self._engine.eval(
             changed, new_ends, new_mids
@@ -1385,37 +1149,25 @@ class MappingCostTracker:
             changed, new_ends, new_mids, newrows, old_cross, new_cross
         )
         self._pending_eval = (
-            moves, moved_from, changed, (new_ends, new_mids, sums_after, cost_after)
+            moves, changed, (new_ends, new_mids, sums_after, cost_after)
         )
         return delta
 
     def commit_evaluated(self) -> None:
         """Make the last :meth:`evaluate` move the committed state.
 
-        Cheap: positions, endpoints, midpoints and the metric sums come
-        from the stored evaluation; the engine's heavy geometry update is
-        deferred until the next evaluation needs it, so a subsequent
-        :meth:`revert_last` stays O(1).
+        Positions, endpoints, midpoints and the metric sums come from the
+        stored evaluation (no geometry test runs twice); the engine then
+        folds the move into its own geometry.
         """
         if self._pending_eval is None:
             raise RuntimeError("no evaluate() to commit")
-        moves, moved_from, changed, record = self._pending_eval
+        moves, changed, record = self._pending_eval
         self._pending_eval = None
+        self._positions.update(moves)
         if record is None:
-            self._positions.update(moves)
-            self._last_move = (moved_from, [], [], [], None)
             return
         new_ends, new_mids, sums_after, cost_after = record
-        ends_before = [self._ends[index] for index in changed]
-        mids_before = [self._mids[index] for index in changed]
-        sums_before = (
-            self.total_edge_length,
-            self.total_weighted_length,
-            self.crossings,
-            self.spacing_sum,
-            self._cost_value,
-        )
-        self._positions.update(moves)
         for t, index in enumerate(changed):
             self._ends[index] = new_ends[t]
             self._mids[index] = new_mids[t]
@@ -1426,55 +1178,18 @@ class MappingCostTracker:
             self.spacing_sum,
         ) = sums_after
         self._cost_value = cost_after
-        self._pending = (changed, new_ends, new_mids)
-        self._last_move = (moved_from, changed, ends_before, mids_before, sums_before)
+        self._engine.flush(changed, new_ends, new_mids)
 
     def apply(self, updates: Mapping[int, Position]) -> float:
         """Move vertices to new positions; returns the combined-cost delta.
 
         ``updates`` maps vertices to their new ``(row, col)`` positions.
-        Unknown vertices are ignored.  Undo with :meth:`revert_last`
-        (cheap, restores the pre-move state exactly) or by applying the
-        inverse mapping.
+        Unknown vertices are ignored.  Undo by applying the inverse
+        mapping.
         """
         delta = self.evaluate(updates)
         self.commit_evaluated()
         return delta
-
-    def revert_last(self) -> None:
-        """Undo the most recent :meth:`apply`, restoring its pre-move state.
-
-        Exact and cheap: positions, endpoints, midpoints and the metric
-        sums are restored from the commit-time snapshot, and the engine
-        update is simply cancelled when still pending (the common case —
-        no crossing test or spacing fold runs at all).  One-shot: raises
-        :class:`RuntimeError` if there is no un-reverted apply.
-        """
-        if self._last_move is None:
-            raise RuntimeError("no apply() to revert")
-        moved_from, changed, ends_before, mids_before, sums_before = self._last_move
-        self._last_move = None
-        self._pending_eval = None
-        self._positions.update(moved_from)
-        if not changed:
-            return
-        if self._pending is not None:
-            # The engine never saw this move: dropping it is the undo.
-            self._pending = None
-        else:
-            # An evaluation in between already flushed the move; push the
-            # old geometry back through the engine.
-            self._engine.flush(changed, ends_before, mids_before)
-        for t, index in enumerate(changed):
-            self._ends[index] = ends_before[t]
-            self._mids[index] = mids_before[t]
-        (
-            self.total_edge_length,
-            self.total_weighted_length,
-            self.crossings,
-            self.spacing_sum,
-            self._cost_value,
-        ) = sums_before
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -1,26 +1,26 @@
 /* Compiled fast engine for the incremental mapping-cost tracker.
  *
- * Mirrors the Python engines of repro/graphs/metrics.py (MappingCostTracker)
+ * Mirrors the scalar engine of repro/graphs/metrics.py (MappingCostTracker)
  * over flat arrays: segment endpoints seg[m*4] = (p_row, p_col, q_row, q_col),
  * midpoints mid[m*2], edge endpoint vertices eu/ev[m], per-edge full
  * midpoint-distance row sums R[m], and a dense clamped bucket grid
  * (cell_count / cell_items / per-edge clamped cell ranges edge_range[m*4] =
  * {row_lo, row_hi, col_lo, col_hi}).
  *
- * Bitwise discipline (the compiled, vector and scalar engines must agree on
- * every bit of every float they produce):
+ * Bitwise discipline (the compiled and scalar engines must agree on every
+ * bit of every float they produce):
  *
  *  - distances are sqrt(dr*dr + dc*dc) -- IEEE correctly-rounded ops only,
  *    never hypot() (library-dependent rounding);
  *  - every reduction over an m-length row is a binary tree fold over the
  *    row zero-padded to the power-of-two length `pad` (identical to the
- *    numpy a[0::2] + a[1::2] halving and the Python list halving);
+ *    Python list halving);
  *  - the build ships with -ffp-contract=off so the compiler cannot fuse
- *    the multiply-adds above into FMAs the Python engines do not perform.
+ *    the multiply-adds above into FMAs the scalar engine does not perform.
  *
  * The crossing predicates replicate the arithmetic of _orientation /
  * _on_segment / _segments_cross exactly (same products, same 1e-12
- * tolerances), so crossing counts agree with the Python engines on every
+ * tolerances), so crossing counts agree with the scalar engine on every
  * input.  The clamped dense grid may produce *larger* candidate sets than
  * the unbounded Python dict grid (out-of-range cells clamp onto the border),
  * but candidates are only pruning: the exact bbox + orientation tests keep
@@ -451,7 +451,7 @@ void mc_eval(const int64_t *ip, double bucket, int64_t k,
 /* Fold an evaluated move into the state arrays.  R maintenance runs in a
  * fixed canonical order (elementwise adjust against the old midpoints in
  * ascending changed order, then fresh tree-folded rows for the changed
- * edges) that the Python engines replicate exactly.  Returns -1 when a
+ * edges) that the scalar engine replicates exactly.  Returns -1 when a
  * grid cell overflows cap: seg/mid/R are already updated, and the caller
  * rebuilds the grid from seg with a larger cap. */
 int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,

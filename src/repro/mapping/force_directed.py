@@ -31,16 +31,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
-
-try:  # Optional: vectorises the per-sweep force evaluation.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as _np
 
 from ..circuits.circuit import Circuit
 from ..graphs.community import (
@@ -122,22 +117,13 @@ def assign_dipole_poles(graph: nx.Graph, seed: int = 0) -> Dict[int, int]:
     return poles
 
 
-def _bucket_key(position: Vector, bucket: float) -> Tuple[int, int]:
-    return (int(position[0] // bucket), int(position[1] // bucket))
-
-
-def _nearby_buckets(key: Tuple[int, int]) -> List[Tuple[int, int]]:
-    row, col = key
-    return [(row + dr, col + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-
-
 def _np_bucket_pairs(keys, count: int):
     """Ordered (i, j) index pairs whose keys fall in a 3x3 neighbourhood.
 
-    numpy twin of the ``_bucket_key`` / ``_nearby_buckets`` scan: for every
-    bucket, pairs its members against the members of the nine surrounding
-    buckets (both orders, self-pairs dropped), as flat index arrays ready
-    for vectorized force kernels.  Returns ``None`` when no pair exists.
+    For every bucket, pairs its members against the members of the nine
+    surrounding buckets (both orders, self-pairs dropped), as flat index
+    arrays ready for vectorized force kernels.  Returns ``None`` when no
+    pair exists.
     """
     if count == 0:
         return None
@@ -177,14 +163,10 @@ def _np_bucket_pairs(keys, count: int):
 class _ForceField:
     """Computes the per-vertex net force for the current placement.
 
-    With numpy present the three force kernels run vectorized over flat
-    index arrays prepared once at construction (adjacency pairs, edge
-    endpoints, poles); the bucket pruning of the pairwise kernels matches
-    the scalar fallback's 3x3 neighbourhood scan.  The scalar fallback
-    keeps the original per-vertex loops; its force values can differ from
-    the vectorized path in the last ulp (summation order), which is fine —
-    reproducibility is pinned per environment, and the cost tracker (whose
-    engines *are* bit-identical) is what accepts or rejects moves.
+    The three force kernels run vectorized over flat index arrays prepared
+    once at construction (adjacency pairs, edge endpoints, poles); the two
+    pairwise kernels only pair items whose bucket keys lie in the same 3x3
+    neighbourhood (see :func:`_np_bucket_pairs`).
     """
 
     def __init__(
@@ -193,12 +175,7 @@ class _ForceField:
         config: ForceDirectedConfig,
         poles: Mapping[int, int],
     ) -> None:
-        self.graph = graph
         self.config = config
-        self.poles = poles
-        self._vectorized = _np is not None
-        if not self._vectorized:
-            return
         nodes = list(graph.nodes())
         self._nodes = nodes
         index = {vertex: i for i, vertex in enumerate(nodes)}
@@ -222,36 +199,24 @@ class _ForceField:
     def forces(self, positions: Mapping[int, Cell]) -> Dict[int, Vector]:
         """Net force on every vertex under the current positions."""
         config = self.config
-        if self._vectorized:
-            nodes = self._nodes
-            if not nodes:
-                return {}
-            pos = _np.asarray(
-                [positions[vertex] for vertex in nodes], dtype=float
-            ).reshape(len(nodes), 2)
-            out = _np.zeros((len(nodes), 2), dtype=float)
-            if config.use_attraction:
-                self._np_attraction(pos, out)
-            if config.use_edge_repulsion:
-                self._np_edge_repulsion(pos, out)
-            if config.use_dipole:
-                self._np_dipole(pos, out)
-            return {
-                vertex: (float(out[i, 0]), float(out[i, 1]))
-                for i, vertex in enumerate(nodes)
-            }
-        forces: Dict[int, List[float]] = {v: [0.0, 0.0] for v in self.graph.nodes()}
+        nodes = self._nodes
+        if not nodes:
+            return {}
+        pos = _np.asarray(
+            [positions[vertex] for vertex in nodes], dtype=float
+        ).reshape(len(nodes), 2)
+        out = _np.zeros((len(nodes), 2), dtype=float)
         if config.use_attraction:
-            self._add_attraction(positions, forces)
+            self._np_attraction(pos, out)
         if config.use_edge_repulsion:
-            self._add_edge_repulsion(positions, forces)
+            self._np_edge_repulsion(pos, out)
         if config.use_dipole:
-            self._add_dipole(positions, forces)
-        return {v: (f[0], f[1]) for v, f in forces.items()}
+            self._np_dipole(pos, out)
+        return {
+            vertex: (float(out[i, 0]), float(out[i, 1]))
+            for i, vertex in enumerate(nodes)
+        }
 
-    # ------------------------------------------------------------------
-    # Vectorized kernels
-    # ------------------------------------------------------------------
     def _np_attraction(self, pos, out) -> None:
         """Pull every vertex toward the centroid of its neighbourhood."""
         if self._nbr_owner.size == 0:
@@ -329,98 +294,6 @@ class _ForceField:
         out[:, 1] += _np.bincount(
             left, weights=sign * magnitude * d_col[keep], minlength=n
         )
-
-    # ------------------------------------------------------------------
-    # Scalar fallback kernels
-    # ------------------------------------------------------------------
-    def _add_attraction(
-        self, positions: Mapping[int, Cell], forces: Dict[int, List[float]]
-    ) -> None:
-        """Pull every vertex toward the centroid of its neighbourhood."""
-        weight = self.config.attraction_weight
-        for vertex in self.graph.nodes():
-            neighbors = list(self.graph.neighbors(vertex))
-            if not neighbors:
-                continue
-            centroid_row = sum(positions[n][0] for n in neighbors) / len(neighbors)
-            centroid_col = sum(positions[n][1] for n in neighbors) / len(neighbors)
-            row, col = positions[vertex]
-            forces[vertex][0] += weight * (centroid_row - row)
-            forces[vertex][1] += weight * (centroid_col - col)
-
-    def _add_edge_repulsion(
-        self, positions: Mapping[int, Cell], forces: Dict[int, List[float]]
-    ) -> None:
-        """Repel edges from each other through their midpoints.
-
-        Midpoints are bucketed on a coarse grid so only nearby edge pairs
-        interact, keeping the sweep cost close to linear in the edge count.
-        """
-        weight = self.config.repulsion_weight
-        bucket = float(max(2, self.config.neighborhood_radius))
-        edges = list(self.graph.edges())
-        midpoints: List[Vector] = []
-        buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for index, (a, b) in enumerate(edges):
-            pa, pb = positions[a], positions[b]
-            midpoint = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)
-            midpoints.append(midpoint)
-            buckets[_bucket_key(midpoint, bucket)].append(index)
-
-        for index, (a, b) in enumerate(edges):
-            midpoint = midpoints[index]
-            push = [0.0, 0.0]
-            for key in _nearby_buckets(_bucket_key(midpoint, bucket)):
-                for other_index in buckets.get(key, ()):
-                    if other_index == index:
-                        continue
-                    other = midpoints[other_index]
-                    d_row = midpoint[0] - other[0]
-                    d_col = midpoint[1] - other[1]
-                    distance_sq = d_row * d_row + d_col * d_col
-                    if distance_sq < 1e-9:
-                        d_row, d_col, distance_sq = 0.5, 0.5, 0.5
-                    magnitude = weight / distance_sq
-                    push[0] += magnitude * d_row
-                    push[1] += magnitude * d_col
-            # The repulsion acts on the edge; split it between the endpoints.
-            forces[a][0] += push[0] / 2.0
-            forces[a][1] += push[1] / 2.0
-            forces[b][0] += push[0] / 2.0
-            forces[b][1] += push[1] / 2.0
-
-    def _add_dipole(
-        self, positions: Mapping[int, Cell], forces: Dict[int, List[float]]
-    ) -> None:
-        """Pole-based dipole forces: opposite poles attract, identical repel."""
-        weight = self.config.dipole_weight
-        radius = float(self.config.neighborhood_radius)
-        bucket = radius
-        buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for vertex in self.graph.nodes():
-            buckets[_bucket_key(positions[vertex], bucket)].append(vertex)
-
-        for vertex in self.graph.nodes():
-            pole = self.poles.get(vertex, 1)
-            row, col = positions[vertex]
-            for key in _nearby_buckets(_bucket_key(positions[vertex], bucket)):
-                for other in buckets.get(key, ()):
-                    if other == vertex:
-                        continue
-                    other_pole = self.poles.get(other, 1)
-                    o_row, o_col = positions[other]
-                    d_row = row - o_row
-                    d_col = col - o_col
-                    distance_sq = d_row * d_row + d_col * d_col
-                    if distance_sq < 1e-9 or distance_sq > radius * radius:
-                        continue
-                    magnitude = weight / distance_sq
-                    if pole == other_pole:
-                        forces[vertex][0] += magnitude * d_row
-                        forces[vertex][1] += magnitude * d_col
-                    else:
-                        forces[vertex][0] -= magnitude * d_row
-                        forces[vertex][1] -= magnitude * d_col
 
 
 @dataclass

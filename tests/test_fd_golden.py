@@ -10,9 +10,10 @@ the ``hierarchical_stitching`` placement and hop map at seed 0.  On the
 stitched placement it also pins the hop map of ``optimize_permutation_hops``
 for both annealed hop modes at seeds 0-2, and the Fig. 9c/9d latency table
 at K=4.  Finally it pins the canonical ``to_dict()`` and the summed latency
-and stall cycles of five paper experiments at small inputs (Fig. 7a/7b,
-Table I level 1, Fig. 6, Fig. 10 single-level), the only place the
-simulated cycle counts of the paper workloads are written down.
+and stall cycles of eight paper experiments at small inputs (Fig. 7a/7b,
+Fig. 9a/9b, Table I levels 1 and 2, Fig. 6, Fig. 10 single- and
+two-level), the only place the simulated cycle counts of the paper
+workloads are written down.
 
 Any intended trajectory change must update these values and say why.
 """
@@ -73,13 +74,17 @@ FIG9_GOLDEN = {
 
 #: experiment -> (kwargs, canonical ``to_dict()`` digest, summed latency,
 #: summed stall cycles).  Fig. 6 reports per-mapping latencies only, so its
-#: stall sum is ``None``.
+#: stall sum is ``None``.  Fig. 9a/9b reports space-time volumes only, so its
+#: two sums are the summed no-reuse and reuse volumes.
 EXPERIMENT_GOLDEN = {
     "fig7a": ({"capacities": [2, 4]}, "b9c0c1bfaa2692e0", 160, 92),
     "fig7b": ({"capacities": [4]}, "fe286b048c664f62", 220, 742),
+    "fig9ab": ({"capacities": [4]}, "79e669143ea778ee", 213759, 236141),
     "table1-level1": ({"capacities": [2]}, "32d30c42e89bd7ce", 168, 84),
+    "table1-level2": ({"capacities": [4]}, "c6706813a8dc2754", 469, 1110),
     "fig6": ({"num_mappings": 5}, "0550549e31247c81", 400, None),
     "fig10-single": ({"capacities": [2, 4]}, "82fe06fb3949f139", 224, 96),
+    "fig10-two": ({"capacities": [4]}, "93e99b04e706a61a", 372, 966),
 }
 
 
@@ -154,7 +159,12 @@ def test_experiment_outputs_are_pinned(name):
     result = get_experiment(name).run(**kwargs)
     canonical = json.dumps(result.to_dict(), sort_keys=True)
     evaluations = getattr(result, "evaluations", None)
-    if evaluations is None:
+    if name == "fig9ab":
+        sums = (
+            sum(c.volume_no_reuse for c in result.comparisons),
+            sum(c.volume_reuse for c in result.comparisons),
+        )
+    elif evaluations is None:
         sums = (sum(sample.latency for sample in result.study.samples), None)
     else:
         sums = (

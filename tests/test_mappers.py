@@ -5,11 +5,13 @@ import pytest
 from repro.circuits import critical_path_length
 from repro.distillation import BravyiHaahSpec
 from repro.graphs import (
+    MappingCostTracker,
     interaction_graph,
     mapping_cost,
     mapping_metrics,
     total_edge_length,
 )
+from repro.kernels import metrics as metrics_kernel
 from repro.mapping import (
     ForceDirectedConfig,
     assign_dipole_poles,
@@ -269,38 +271,47 @@ class TestExactCostRefinement:
         )
         assert refined_cost <= stats.initial_cost
 
+    @pytest.mark.skipif(
+        not metrics_kernel.available(), reason="needs the metrics kernel"
+    )
     def test_refine_is_byte_identical_across_tracker_engines(
         self, single_level_k8, monkeypatch
     ):
-        """Every tracker engine drives the annealer down the same trajectory.
+        """Both tracker engines drive the annealer down the same trajectory.
 
         The RNG stream consumes one draw per Boltzmann test, so even a
         last-ulp delta difference between engines would fork the move
         sequence; identical positions and costs pin the bit-parity
-        contract end to end, not just per-call.
+        contract end to end, not just per-call.  The kernel opt-out
+        switches the tracker from ``compiled`` to ``scalar``.
         """
-        from repro.graphs import tracker_engines
-
         graph = interaction_graph(single_level_k8.circuit)
         initial = random_circuit_placement(single_level_k8.circuit, seed=7, slack=1.5)
         config = ForceDirectedConfig(sweeps=6, seed=4)
-        outcomes = {}
-        for engine in tracker_engines():
-            monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
+
+        def refine(expected_engine):
+            tracker = MappingCostTracker(graph, initial.as_float_positions())
+            assert tracker.engine == expected_engine
             take_refine_stats()
             refined = force_directed_refine(graph, initial, config)
             stats = take_refine_stats()[-1]
-            outcomes[engine] = (
+            return (
                 refined.positions,
                 stats.best_cost,
                 stats.sweep_costs,
                 stats.proposed_moves,
                 stats.accepted_moves,
             )
-        monkeypatch.delenv("REPRO_METRICS_ENGINE")
-        expected = outcomes["scalar"]
-        for engine, outcome in outcomes.items():
-            assert outcome == expected, f"engine={engine!r} forked the trajectory"
+
+        compiled = refine("compiled")
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        metrics_kernel.reset()
+        try:
+            scalar = refine("scalar")
+        finally:
+            monkeypatch.delenv("REPRO_NO_KERNEL")
+            metrics_kernel.reset()
+        assert compiled == scalar, "the compiled engine forked the trajectory"
 
     def test_refine_stats_counters_are_consistent(
         self, single_level_k4, k4_random_placement

@@ -11,7 +11,6 @@ from repro.graphs import (
     average_edge_length,
     average_edge_spacing,
     average_edge_spacing_reference,
-    bucket_auto_sizing_count,
     count_edge_crossings,
     count_edge_crossings_reference,
     edge_midpoint,
@@ -23,7 +22,9 @@ from repro.graphs import (
     pearson_correlation,
     segments_intersect,
     total_edge_length,
+    tracker_engines,
 )
+from repro.kernels import metrics as metrics_kernel
 from repro.mapping import linear_factory_placement
 
 
@@ -305,7 +306,7 @@ class TestMappingCostTracker:
                 self._assert_matches_recompute(tracker, graph, positions)
 
     def test_matches_recompute_vectorised_path(self):
-        # >= 64 edges switches the tracker to its numpy crossing test.
+        # A denser graph (120 edges on 50 vertices) than the cases above.
         rng = random.Random(17)
         graph = nx.gnm_random_graph(50, 120, seed=0)
         positions = {
@@ -331,52 +332,6 @@ class TestMappingCostTracker:
         tracker.apply(updates)
         positions.update(updates)
         self._assert_matches_recompute(tracker, graph, positions)
-
-    def test_revert_last_restores_state_exactly(self):
-        rng = random.Random(31)
-        graph = nx.gnm_random_graph(20, 45, seed=31)
-        positions = {
-            v: (float(rng.randrange(0, 10)), float(rng.randrange(0, 10)))
-            for v in graph.nodes()
-        }
-        tracker = MappingCostTracker(graph, positions)
-        nodes = list(graph.nodes())
-        for _step in range(30):
-            crossings = tracker.crossings
-            spacing = tracker.spacing_sum
-            length = tracker.total_edge_length
-            cost = tracker.cost()
-            vertex = rng.choice(nodes)
-            tracker.apply(
-                {vertex: (float(rng.randrange(0, 10)), float(rng.randrange(0, 10)))}
-            )
-            tracker.revert_last()
-            # Bit-exact restore (snapshots, not arithmetic inverses).
-            assert tracker.crossings == crossings
-            assert tracker.spacing_sum == spacing
-            assert tracker.total_edge_length == length
-            assert tracker.cost() == cost
-            self._assert_matches_recompute(tracker, graph, positions)
-
-    def test_revert_last_is_one_shot(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
-        tracker = MappingCostTracker(graph, {0: (0.0, 0.0), 1: (1.0, 0.0)})
-        tracker.apply({0: (2.0, 2.0)})
-        tracker.revert_last()
-        with pytest.raises(RuntimeError):
-            tracker.revert_last()
-
-    def test_revert_after_isolated_move_restores_position(self):
-        graph = nx.Graph()
-        graph.add_node(0)
-        graph.add_edge(1, 2)
-        tracker = MappingCostTracker(
-            graph, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}
-        )
-        tracker.apply({0: (5.0, 5.0)})
-        tracker.revert_last()
-        assert tracker.position(0) == (0.0, 0.0)
 
     def test_inverse_apply_reverts(self):
         graph = nx.gnm_random_graph(12, 25, seed=4)
@@ -470,39 +425,70 @@ class TestMappingCostTracker:
         self._assert_matches_recompute(tracker, graph, positions)
 
 
-class TestBucketSizingMemo:
-    """Auto bucket sizing is memoized per (graph, edge count, extent)."""
+class TestTrackerEngineSelection:
+    """One engine per host: ``compiled`` when the kernel loads, else ``scalar``."""
 
-    def test_repeat_builds_reuse_the_memoized_size(self):
-        graph, positions = square_graph()
-        first = MappingCostTracker(graph, dict(positions))
-        before = bucket_auto_sizing_count()
-        repeat = MappingCostTracker(graph, dict(positions))
-        assert bucket_auto_sizing_count() == before  # no re-scan
-        assert repeat.crossings == first.crossings
-        assert repeat.cost() == first.cost()
+    @staticmethod
+    def _crossing_pair(a, b, c, d):
+        """Edges a-b and c-d drawn as the two diagonals of a square."""
+        graph = nx.Graph()
+        graph.add_edge(a, b)
+        graph.add_edge(c, d)
+        positions = {a: (0.0, 0.0), b: (2.0, 2.0), c: (0.0, 2.0), d: (2.0, 0.0)}
+        return graph, positions
 
-    def test_extent_change_invalidates_the_memo(self):
-        graph, positions = square_graph()
-        MappingCostTracker(graph, dict(positions))
-        before = bucket_auto_sizing_count()
-        stretched = {v: (r * 10.0, c * 10.0) for v, (r, c) in positions.items()}
-        MappingCostTracker(graph, stretched)
-        assert bucket_auto_sizing_count() == before + 1
+    @pytest.fixture
+    def no_metrics_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        metrics_kernel.reset()
+        yield
+        monkeypatch.undo()
+        metrics_kernel.reset()
 
-    def test_explicit_bucket_size_skips_the_sizing_scan(self):
+    @pytest.mark.skipif(
+        not metrics_kernel.available(), reason="needs the metrics kernel"
+    )
+    def test_compiled_when_the_kernel_loads(self):
         graph, positions = square_graph()
-        before = bucket_auto_sizing_count()
-        MappingCostTracker(graph, dict(positions), bucket_size=2.0)
-        assert bucket_auto_sizing_count() == before
+        assert MappingCostTracker(graph, positions).engine == "compiled"
 
-    def test_same_extent_other_graph_sizes_independently(self):
+    def test_scalar_without_the_kernel(self, no_metrics_kernel):
         graph, positions = square_graph()
-        MappingCostTracker(graph, dict(positions))
-        other, other_positions = square_graph()
-        before = bucket_auto_sizing_count()
-        MappingCostTracker(other, dict(other_positions))
-        assert bucket_auto_sizing_count() == before + 1
+        assert tracker_engines() == ["scalar"]
+        assert MappingCostTracker(graph, positions).engine == "scalar"
+        with pytest.raises(ValueError, match="kernel is unavailable"):
+            MappingCostTracker(graph, positions, engine="compiled")
+
+    @pytest.mark.parametrize(
+        "ids",
+        [(0.5, 2.0, 0.7, 3.0), ("1", "3", "01", "4"), (0, 1, 2, 1 << 63)],
+        ids=["float", "digit-string", "beyond-int64"],
+    )
+    def test_scalar_for_ids_the_kernel_cannot_hold(self, ids):
+        graph, positions = self._crossing_pair(*ids)
+        assert MappingCostTracker(graph, positions).engine == "scalar"
+        if "compiled" in tracker_engines():
+            with pytest.raises(ValueError, match="int64 integers"):
+                MappingCostTracker(graph, positions, engine="compiled")
+
+    @pytest.mark.parametrize(
+        "ids",
+        [(0.5, 2.0, 0.7, 3.0), ("1", "3", "01", "4")],
+        ids=["float", "digit-string"],
+    )
+    def test_ids_that_cast_alike_stay_distinct(self, ids):
+        # 0.5 and 0.7 both truncate to 0, "1" and "01" both parse as 1: an
+        # int64 cast would merge the two edges' first endpoints and drop
+        # their crossing as a shared-endpoint pair.
+        graph, positions = self._crossing_pair(*ids)
+        assert count_edge_crossings_reference(graph, positions) == 1
+        assert MappingCostTracker(graph, positions).crossings == 1
+
+    @pytest.mark.parametrize("name", ["vector", "auto"])
+    def test_unknown_engine_rejected(self, name):
+        graph, positions = square_graph()
+        with pytest.raises(ValueError, match="unknown tracker engine"):
+            MappingCostTracker(graph, positions, engine=name)
 
 
 class TestCostAndCorrelation:

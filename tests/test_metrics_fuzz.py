@@ -1,15 +1,17 @@
-"""Differential fuzz harness: tracker engines vs the scalar reference.
+"""Differential fuzz harness: the compiled tracker vs the scalar reference.
 
 Each trial draws a random scenario — a random interaction-style graph
-(occasionally weighted, occasionally with non-integer vertex labels), a
-random layout, and a random sequence of moves, reverts and
-evaluated-only proposals — and checks that **every** available
-:class:`repro.graphs.metrics.MappingCostTracker` engine (``scalar``
-reference, ``vector`` when numpy is present, ``compiled`` when the C
-kernel builds) stays byte-identical on the full tracker state after
-every step: per-move deltas, crossings, total/weighted length, spacing
-sum, combined cost, and the tracked positions.  A small corpus runs in
-tier 1; the nightly CI job widens it with ``--fuzz-iterations``.
+(occasionally weighted, occasionally with float or string vertex
+labels), a random layout, and a random sequence of moves and
+evaluated-only proposals — and checks that the ``compiled``
+:class:`repro.graphs.metrics.MappingCostTracker` engine stays
+byte-identical to the ``scalar`` reference on the full tracker state
+after every step: per-move deltas, crossings, total/weighted length,
+spacing sum, combined cost, and the tracked positions.  Graphs whose ids
+the kernel cannot hold exactly must select ``scalar`` instead.  Without
+the kernel there is nothing to compare, so the module skips.  A small
+corpus runs in tier 1; the nightly CI job widens it with
+``--fuzz-iterations``.
 
 Failures are collected, not raised one at a time: the assertion message
 lists every failing seed with a one-line repro command
@@ -25,12 +27,13 @@ import pytest
 
 from repro.graphs import MappingCostTracker, tracker_engines
 
+pytestmark = pytest.mark.skipif(
+    tracker_engines() == ["scalar"],
+    reason="the metrics kernel is unavailable: scalar is the only tracker engine",
+)
+
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20260808
-
-
-def _engines():
-    return tracker_engines()
 
 
 def _random_graph(rng: random.Random) -> nx.Graph:
@@ -41,8 +44,11 @@ def _random_graph(rng: random.Random) -> nx.Graph:
     if rng.random() < 0.3:  # weighted edges exercise weighted-length sums
         for a, b in graph.edges():
             graph[a][b]["weight"] = rng.choice([0.5, 1.0, 2.0, 3.5])
-    if rng.random() < 0.2:  # string ids force the compiled->vector fallback
+    label = rng.random()
+    if label < 0.15:  # string ids keep the compiled engine off
         graph = nx.relabel_nodes(graph, {v: f"q{v}" for v in graph.nodes()})
+    elif label < 0.3:  # so do float ids (an int64 cast would merge v/4 ids)
+        graph = nx.relabel_nodes(graph, {v: v / 4 for v in graph.nodes()})
     return graph
 
 
@@ -80,11 +86,15 @@ def run_trial(seed: int) -> None:
     layout = _random_layout(rng, graph)
     vertices = sorted(graph.nodes(), key=str)
     span = 20
-    trackers = {
-        engine: MappingCostTracker(graph, dict(layout), engine=engine)
-        for engine in _engines()
-        if engine != "compiled" or trackers_support_compiled(graph)
-    }
+    trackers = {"scalar": MappingCostTracker(graph, dict(layout), engine="scalar")}
+    if all(isinstance(vertex, int) for vertex in graph.nodes()):
+        trackers["compiled"] = MappingCostTracker(
+            graph, dict(layout), engine="compiled"
+        )
+    else:
+        assert MappingCostTracker(graph, dict(layout)).engine == "scalar", (
+            f"non-integer ids selected the compiled engine (seed {seed})"
+        )
     reference = trackers["scalar"]
     ref_state = _state(reference)
     for engine, tracker in trackers.items():
@@ -95,7 +105,7 @@ def run_trial(seed: int) -> None:
 
     for step in range(rng.randint(10, 40)):
         action = rng.random()
-        if action < 0.55:  # apply, keep
+        if action < 0.7:  # apply
             updates = _random_updates(rng, vertices, span)
             deltas = {
                 engine: tracker.apply(updates)
@@ -107,11 +117,6 @@ def run_trial(seed: int) -> None:
                     f"engine={engine!r} diverged on the apply() delta "
                     f"at step {step} (seed {seed})"
                 )
-        elif action < 0.8:  # apply, then revert
-            updates = _random_updates(rng, vertices, span)
-            for tracker in trackers.values():
-                tracker.apply(updates)
-                tracker.revert_last()
         else:  # a run of evaluated-only proposals (no commit)
             proposals = [
                 _random_updates(rng, vertices, span)
@@ -132,11 +137,6 @@ def run_trial(seed: int) -> None:
                 f"engine={engine!r} diverged on the tracker state "
                 f"at step {step} (seed {seed})"
             )
-
-
-def trackers_support_compiled(graph: nx.Graph) -> bool:
-    """Whether the compiled engine accepts this graph's vertex ids."""
-    return all(isinstance(vertex, int) for vertex in graph.nodes())
 
 
 def test_differential_fuzz(request):
