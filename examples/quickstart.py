@@ -45,8 +45,8 @@ def main() -> None:
     print(f"  space-time volume : {point.volume} qubit-cycles "
           f"({point.volume_over_critical:.2f}x the critical volume)")
 
-    # 3. A custom mapper plugs into the same pipeline (and into
-    #    capacity_sweep, the experiments and the CLI) by registering a name.
+    # 3. A custom mapper plugs into the same pipeline (and into run_sweep,
+    #    the experiments and the CLI) by registering a name.
     @register_mapper
     class SnakeMapper(Mapper):
         """Row-major snake layout — a deliberately naive baseline."""
@@ -70,7 +70,7 @@ def main() -> None:
         print(f"{method:12s}{result.latency:>10d}{result.area:>10d}"
               f"{result.volume:>10d}")
     print(f"(factory builds: {pipeline.stats.factory_builds}, "
-          f"cache hits: {pipeline.stats.cache_hits} — the snake sweep reused "
+          f"cache hits: {pipeline.stats.factory_cache_hits} — the snake sweep reused "
           f"the built circuit)")
 
     # 4. Results are JSON round-trippable for dashboards and downstream tools.

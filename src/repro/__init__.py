@@ -28,10 +28,12 @@ The public API is organised around three pluggable abstractions in
   and emits machine-readable output with ``--json``.
 * **Sweep execution** — :class:`repro.api.SweepPlan` expands a parameter
   grid into independent requests and :class:`repro.api.SweepExecutor`
-  schedules them serially or across worker processes with deterministic,
-  byte-identical results; simulations are memoized
-  (:class:`repro.routing.SimulationCache`) so repeated sweep points never
-  re-simulate.
+  (or the one-shot :func:`repro.api.run_sweep`) schedules them serially,
+  batched or across worker processes with deterministic, byte-identical
+  results.  It is the one sweep path: every figure and table, the
+  ``sweep`` CLI, sharding and the service run through it.  Simulations are
+  memoized (:class:`repro.routing.SimulationCache`) so repeated sweep
+  points never re-simulate.
 
 A custom mapper end to end::
 

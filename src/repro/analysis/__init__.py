@@ -1,4 +1,4 @@
-"""Evaluation machinery: volume accounting, correlation study, capacity sweeps."""
+"""Evaluation machinery: volume accounting, correlation study, sweep tables."""
 
 from .correlation import (
     CorrelationStudy,
@@ -9,18 +9,10 @@ from .correlation import (
 from .sweeps import (
     MAPPING_METHODS,
     METHOD_LABELS,
-    FactoryEvaluation,
     best_volume_by_method,
-    capacity_sweep,
-    evaluate_factory_mapping,
     format_sweep_table,
 )
-from .volume import (
-    EvaluationResult,
-    evaluate_mapping,
-    mapping_area,
-    occupied_bounding_box,
-)
+from .volume import mapping_area, occupied_bounding_box
 
 __all__ = [
     "CorrelationStudy",
@@ -29,13 +21,8 @@ __all__ = [
     "correlation_study",
     "MAPPING_METHODS",
     "METHOD_LABELS",
-    "FactoryEvaluation",
     "best_volume_by_method",
-    "capacity_sweep",
-    "evaluate_factory_mapping",
     "format_sweep_table",
-    "EvaluationResult",
-    "evaluate_mapping",
     "mapping_area",
     "occupied_bounding_box",
 ]

@@ -3,7 +3,7 @@
 This package is the extension surface of the toolchain.  Third-party code
 adds mapping procedures with :func:`register_mapper` and new paper-style
 studies with :func:`register_experiment`; everything registered becomes
-available to :class:`Pipeline`, :func:`capacity_sweep` and the ``repro-msfu``
+available to :class:`Pipeline`, :func:`run_sweep` and the ``repro-msfu``
 command line (including ``--json`` machine-readable output) without touching
 the analysis layer.
 
@@ -15,9 +15,11 @@ The core abstractions:
   build -> map -> simulate run model, caching built factory circuits so a
   sweep over many mappers constructs each configuration exactly once, and
   memoizing simulation results so repeated sweep points never re-simulate;
-* :class:`SweepPlan` / :class:`SweepExecutor` — explicit sweep plans
-  (parameter grids expanded into independent requests) scheduled serially
-  or across worker processes with deterministic result ordering;
+* :class:`SweepPlan` / :class:`SweepExecutor` / :func:`run_sweep` — the one
+  sweep path: explicit plans (parameter grids expanded into independent
+  requests) scheduled serially, batched or across worker processes with
+  deterministic result ordering.  Every figure, table, CLI sweep, shard and
+  service job runs through it;
 * :class:`ResultStore` — the on-disk, content-addressed result store that
   memoizes evaluations *across* processes and machines (keyed by
   :func:`request_fingerprint`), making sweeps resumable (``resume=True``);
@@ -63,9 +65,6 @@ from .pipeline import (
     EvaluationRequest,
     Pipeline,
     PipelineStats,
-    capacity_sweep,
-    default_pipeline,
-    evaluate_factory_mapping,
 )
 from .registry import Registry, RegistryError
 from .results import FactoryEvaluation, from_json, to_json
@@ -127,9 +126,6 @@ __all__ = [
     "EvaluationRequest",
     "Pipeline",
     "PipelineStats",
-    "capacity_sweep",
-    "default_pipeline",
-    "evaluate_factory_mapping",
     "Registry",
     "RegistryError",
     "FactoryEvaluation",

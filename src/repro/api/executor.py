@@ -69,7 +69,7 @@ from typing import (
 
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
-from ..routing.simulator import SimulationCache, SimulatorConfig
+from ..routing.simulator import SimulatorConfig
 from .pipeline import EvaluationRequest, Pipeline, PipelineStats
 from .results import FactoryEvaluation
 from .store import ResultStore, as_result_store
@@ -130,8 +130,7 @@ class SweepPlan:
 
         Axes nest as (seed, levels, reuse, capacity, method), innermost
         last, so a plain ``from_grid(methods, capacities)`` enumerates in
-        the same (capacity-major, method-minor) order as
-        :meth:`repro.api.Pipeline.sweep` and tables can be assembled by
+        (capacity-major, method-minor) order and tables can be assembled by
         simple grouping.
         """
         # Materialize every axis first: the nested comprehension iterates
@@ -200,6 +199,8 @@ class ExecutorStats:
     (unique requests only — a duplicate of a stored request still counts as
     a ``duplicate_hit``).  The invariant
     ``requests == duplicate_hits + store_hits + evaluations`` always holds.
+    ``workers`` is the number of processes that evaluated: 1 for serial and
+    batched runs, the pool size for a process-pool run.
     """
 
     requests: int = 0
@@ -220,43 +221,23 @@ class ExecutorStats:
     workers: int = 1
     wall_seconds: float = 0.0
 
-    def add_pipeline_delta(self, delta: PipelineStats) -> None:
-        """Fold one evaluation's pipeline counter delta into this record."""
-        self.evaluations += delta.evaluations
-        self.factory_builds += delta.factory_builds
-        self.factory_cache_hits += delta.cache_hits
-        self.sim_cache_hits += delta.sim_cache_hits
-        self.store_hits += delta.store_hits
-        self.fd_sweeps += delta.fd_sweeps
-        self.fd_moves_accepted += delta.fd_moves_accepted
-        self.sim_stall_events += delta.sim_stall_events
-        self.sim_distinct_stalls += delta.sim_distinct_stalls
-        self.sim_wakeups += delta.sim_wakeups
-        self.build_seconds += delta.build_seconds
-        self.map_seconds += delta.map_seconds
-        self.sim_seconds += delta.sim_seconds
+    def fold(self, part: Union["ExecutorStats", PipelineStats]) -> None:
+        """Add every counter of ``part`` into this record.
+
+        ``part`` is a pipeline counter delta (one evaluation's) or another
+        executor run (one shard's); its fields are a subset of this record's.
+        ``workers`` takes the maximum rather than the sum.
+        """
+        for counter_field in dataclasses.fields(part):
+            name = counter_field.name
+            if name == "workers":
+                self.workers = max(self.workers, part.workers)
+            else:
+                setattr(self, name, getattr(self, name) + getattr(part, name))
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict of every counter."""
-        return {
-            "requests": self.requests,
-            "evaluations": self.evaluations,
-            "duplicate_hits": self.duplicate_hits,
-            "store_hits": self.store_hits,
-            "factory_builds": self.factory_builds,
-            "factory_cache_hits": self.factory_cache_hits,
-            "sim_cache_hits": self.sim_cache_hits,
-            "fd_sweeps": self.fd_sweeps,
-            "fd_moves_accepted": self.fd_moves_accepted,
-            "sim_stall_events": self.sim_stall_events,
-            "sim_distinct_stalls": self.sim_distinct_stalls,
-            "sim_wakeups": self.sim_wakeups,
-            "build_seconds": self.build_seconds,
-            "map_seconds": self.map_seconds,
-            "sim_seconds": self.sim_seconds,
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-        }
+        """JSON-safe dict of every counter, in field order."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutorStats":
@@ -329,36 +310,19 @@ class SweepRunResult:
 # Each worker process holds one long-lived pipeline so the factory and
 # simulation caches amortize across every request the worker receives.
 _WORKER_PIPELINE: Optional[Pipeline] = None
-_WORKER_ARGS: Tuple = (None, 8, 512)
 
 
-def _worker_init(
-    sim_config: Optional[SimulatorConfig], cache_size: int, sim_cache_size: int
-) -> None:
-    """Process-pool initializer: remember the pipeline configuration."""
-    global _WORKER_ARGS, _WORKER_PIPELINE
-    _WORKER_ARGS = (sim_config, cache_size, sim_cache_size)
-    _WORKER_PIPELINE = None
-
-
-def _worker_pipeline() -> Pipeline:
-    """The worker's lazily created process-wide pipeline."""
+def _worker_init(sim_config: Optional[SimulatorConfig]) -> None:
+    """Process-pool initializer: create the worker's pipeline."""
     global _WORKER_PIPELINE
-    if _WORKER_PIPELINE is None:
-        sim_config, cache_size, sim_cache_size = _WORKER_ARGS
-        _WORKER_PIPELINE = Pipeline(
-            sim_config=sim_config,
-            cache_size=cache_size,
-            sim_cache=SimulationCache(max_entries=sim_cache_size),
-        )
-    return _WORKER_PIPELINE
+    _WORKER_PIPELINE = Pipeline(sim_config=sim_config)
 
 
 def _worker_evaluate(
     request: EvaluationRequest,
 ) -> Tuple[FactoryEvaluation, PipelineStats, float]:
     """Evaluate one request in a worker; returns point, stat delta, wall time."""
-    pipeline = _worker_pipeline()
+    pipeline = _WORKER_PIPELINE
     before = pipeline.stats.snapshot()
     started = time.perf_counter()
     evaluation = pipeline.evaluate(request)
@@ -388,8 +352,6 @@ class SweepExecutor:
     sim_config:
         Default simulator configuration for every evaluation (a request's
         own ``sim_config`` takes precedence), forwarded to each worker.
-    cache_size / sim_cache_size:
-        Per-worker factory-cache and simulation-cache bounds.
     store:
         Optional persistent :class:`~repro.api.store.ResultStore` (or a
         path, wrapped automatically).  When attached, every completed
@@ -432,8 +394,6 @@ class SweepExecutor:
         self,
         workers: int = 1,
         sim_config: Optional[SimulatorConfig] = None,
-        cache_size: int = 8,
-        sim_cache_size: int = 512,
         store: Optional[Union[ResultStore, str, Path]] = None,
         resume: bool = False,
         batch: bool = False,
@@ -443,8 +403,6 @@ class SweepExecutor:
         self.workers = workers
         self.batch = batch
         self.sim_config = sim_config
-        self.cache_size = cache_size
-        self.sim_cache_size = sim_cache_size
         self.store = as_result_store(store)
         if resume and self.store is None:
             raise ValueError("resume=True requires a result store (store=...)")
@@ -457,11 +415,7 @@ class SweepExecutor:
     def pipeline(self) -> Pipeline:
         """The executor's own serial pipeline (persists across runs)."""
         if self._pipeline is None:
-            self._pipeline = Pipeline(
-                sim_config=self.sim_config,
-                cache_size=self.cache_size,
-                sim_cache=SimulationCache(max_entries=self.sim_cache_size),
-            )
+            self._pipeline = Pipeline(sim_config=self.sim_config)
         return self._pipeline
 
     # ------------------------------------------------------------------
@@ -497,7 +451,7 @@ class SweepExecutor:
         if resume and self.store is None:
             raise ValueError("resume=True requires a result store (store=...)")
         started = time.perf_counter()
-        stats = ExecutorStats(requests=len(plan), workers=self.workers)
+        stats = ExecutorStats(requests=len(plan))
 
         # Deduplicate while preserving first-occurrence order.
         unique: List[EvaluationRequest] = []
@@ -583,7 +537,7 @@ class SweepExecutor:
             evaluation = pipeline.evaluate(unique[index])
             wall = time.perf_counter() - tick
             unique_results[index] = evaluation
-            stats.add_pipeline_delta(pipeline.stats.delta(before))
+            stats.fold(pipeline.stats.delta(before))
             # Persist immediately: if the process dies on a later request,
             # everything up to here survives for a resumed run.
             if self.store is not None:
@@ -616,7 +570,7 @@ class SweepExecutor:
         tick = time.perf_counter()
         evaluations = pipeline.evaluate_batch([unique[index] for index in pending])
         wall = time.perf_counter() - tick
-        stats.add_pipeline_delta(pipeline.stats.delta(before))
+        stats.fold(pipeline.stats.delta(before))
         share = wall / len(pending)
         for index, evaluation in zip(pending, evaluations):
             unique_results[index] = evaluation
@@ -636,11 +590,11 @@ class SweepExecutor:
         stats: ExecutorStats,
         report: Callable[[int, str, FactoryEvaluation], None],
     ) -> None:
-        workers = min(self.workers, len(pending))
+        stats.workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=stats.workers,
             initializer=_worker_init,
-            initargs=(self.sim_config, self.cache_size, self.sim_cache_size),
+            initargs=(self.sim_config,),
         ) as pool:
             futures = {
                 pool.submit(_worker_evaluate, unique[index]): index
@@ -663,7 +617,7 @@ class SweepExecutor:
                         first_error = error
                     continue
                 unique_results[index] = evaluation
-                stats.add_pipeline_delta(delta)
+                stats.fold(delta)
                 if self.store is not None:
                     self.store.try_put(
                         self._storage_request(unique[index]),

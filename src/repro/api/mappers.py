@@ -2,14 +2,13 @@
 
 A *mapper* turns a built factory into a placement of its logical qubits on
 the tile grid (optionally with extra routing metadata).  Mappers register
-under a name with :func:`register_mapper`; the evaluation pipeline and the
-``capacity_sweep`` harness look them up by name, so a third-party mapper
-plugs into every sweep, figure and CLI invocation without touching the
-analysis layer:
+under a name with :func:`register_mapper`; the evaluation pipeline looks
+them up by name, so a third-party mapper plugs into every sweep, figure and
+CLI invocation without touching the analysis layer:
 
 .. code-block:: python
 
-    from repro.api import Mapper, register_mapper
+    from repro.api import Mapper, SweepPlan, register_mapper, run_sweep
 
     @register_mapper
     class SpiralMapper(Mapper):
@@ -18,7 +17,7 @@ analysis layer:
         def place(self, factory, *, seed=0, context=None):
             return my_spiral_placement(factory.circuit)
 
-    capacity_sweep(["linear", "spiral"], capacities=[2, 4])
+    run_sweep(SweepPlan.from_grid(["linear", "spiral"], capacities=[2, 4]))
 
 A mapper returns either a plain :class:`~repro.mapping.placement.Placement`
 (evaluated against the factory circuit it was given) or a

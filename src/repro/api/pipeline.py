@@ -7,10 +7,10 @@ factory circuit (caching it so a sweep over many mappers builds each
 construction dominates the two-level benches), runs the braid simulator and
 reports the :class:`~repro.api.results.FactoryEvaluation` data point.
 
-:class:`EvaluationRequest` is the serializable description of one such run;
-:func:`capacity_sweep` and :func:`evaluate_factory_mapping` are the
-functional conveniences the legacy :mod:`repro.analysis.sweeps` API now
-delegates to.
+:class:`EvaluationRequest` is the serializable description of one such run.
+Many requests — a sweep — run through
+:class:`~repro.api.executor.SweepExecutor`, which keeps one long-lived
+pipeline per process.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -54,6 +53,11 @@ from ..scheduling.critical_path import (
 )
 from .mappers import MapperContext, get_mapper
 from .results import FactoryEvaluation, encode_value, filter_fields
+
+
+#: Built factories one pipeline keeps alive (LRU).  Two-level factories are
+#: large, so the cache is bounded.
+FACTORY_CACHE_SIZE = 8
 
 
 def _reuse_policy(reuse: bool) -> ReusePolicy:
@@ -181,7 +185,7 @@ def _decode_sim_config(data: Optional[Mapping[str, Any]]) -> Optional[SimulatorC
 class PipelineStats:
     """Counters exposed for tests, benchmarking and capacity planning.
 
-    ``factory_builds`` / ``cache_hits`` count factory-circuit construction
+    ``factory_builds`` / ``factory_cache_hits`` count factory-circuit construction
     against the LRU factory cache; ``sim_cache_hits`` counts simulations
     answered from the :class:`~repro.routing.simulator.SimulationCache`
     without re-simulating; ``fd_sweeps`` / ``fd_moves_accepted`` aggregate
@@ -209,7 +213,7 @@ class PipelineStats:
     """
 
     factory_builds: int = 0
-    cache_hits: int = 0
+    factory_cache_hits: int = 0
     evaluations: int = 0
     sim_cache_hits: int = 0
     store_hits: int = 0
@@ -244,15 +248,6 @@ class Pipeline:
     sim_config:
         Default simulator configuration for every evaluation (a request's
         own ``sim_config`` takes precedence).
-    cache_size:
-        Maximum number of built factories kept alive (LRU).  Two-level
-        factories are large, so the cache is bounded.
-    sim_cache:
-        Memo of deterministic simulation results, so repeated sweep points
-        never re-simulate.  A fresh bounded cache is created when omitted;
-        pass ``None``-disabling is not supported because memoization never
-        changes results — share one cache between pipelines instead when
-        coordinating sweeps.
     store:
         Optional :class:`~repro.api.store.ResultStore` (or anything with its
         ``get``/``put`` contract).  When set, every request is probed in the
@@ -260,20 +255,19 @@ class Pipeline:
         :class:`FactoryEvaluation` (counted in ``stats.store_hits``) and a
         miss persists the freshly computed one, so results amortize across
         processes and machine reboots, not just within this process.
+
+    Built factories are kept in an LRU bounded at :data:`FACTORY_CACHE_SIZE`
+    and simulation results in a :class:`~repro.routing.simulator.SimulationCache`,
+    so repeated sweep points never rebuild or re-simulate.
     """
 
     def __init__(
         self,
         sim_config: Optional[SimulatorConfig] = None,
-        cache_size: int = 8,
-        sim_cache: Optional[SimulationCache] = None,
         store: Optional["ResultStore"] = None,
     ) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.sim_config = sim_config
-        self.cache_size = cache_size
-        self.sim_cache = sim_cache if sim_cache is not None else SimulationCache()
+        self.sim_cache = SimulationCache()
         self.store = store
         self.stats = PipelineStats()
         self._factories: "OrderedDict[Tuple[int, int, ReusePolicy], Factory]" = (
@@ -296,7 +290,7 @@ class Pipeline:
         cached = self._factories.get(key)
         if cached is not None:
             self._factories.move_to_end(key)
-            self.stats.cache_hits += 1
+            self.stats.factory_cache_hits += 1
             return cached
         build_started = time.perf_counter()
         built = build_factory(
@@ -305,7 +299,7 @@ class Pipeline:
         self.stats.build_seconds += time.perf_counter() - build_started
         self.stats.factory_builds += 1
         self._factories[key] = built
-        while len(self._factories) > self.cache_size:
+        while len(self._factories) > FACTORY_CACHE_SIZE:
             self._factories.popitem(last=False)
         return built
 
@@ -530,133 +524,3 @@ class Pipeline:
                     wall_seconds=(time.perf_counter() - started) + batch_share,
                 )
         return results  # type: ignore[return-value]
-
-    def run(self, requests: Iterable[EvaluationRequest]) -> List[FactoryEvaluation]:
-        """Evaluate many requests, sharing the factory cache."""
-        return [self.evaluate(request) for request in requests]
-
-    def sweep(
-        self,
-        methods: Sequence[str],
-        capacities: Sequence[int],
-        levels: int = 1,
-        reuse: bool = False,
-        seed: int = 0,
-        fd_config: Optional[ForceDirectedConfig] = None,
-        stitch_config: Optional[StitchingConfig] = None,
-        sim_config: Optional[SimulatorConfig] = None,
-    ) -> List[FactoryEvaluation]:
-        """Evaluate every (method, capacity) combination.
-
-        Results are returned in (capacity-major, method-minor) order so
-        tables can be assembled by simple grouping; each capacity's factory
-        is built once and shared by every method.
-        """
-        requests = [
-            EvaluationRequest(
-                method=method,
-                capacity=capacity,
-                levels=levels,
-                reuse=reuse,
-                seed=seed,
-                fd_config=fd_config,
-                stitch_config=stitch_config,
-                sim_config=sim_config,
-            )
-            for capacity in capacities
-            for method in methods
-        ]
-        return self.run(requests)
-
-
-# ----------------------------------------------------------------------
-# Functional conveniences (the legacy analysis API delegates here)
-# ----------------------------------------------------------------------
-#: Shared pipeline behind the module-level convenience functions, so repeat
-#: calls for the same configuration reuse the built factory.
-_default_pipeline = Pipeline()
-
-
-def default_pipeline() -> Pipeline:
-    """The process-wide pipeline used by the convenience functions."""
-    return _default_pipeline
-
-
-def evaluate_factory_mapping(
-    method: str,
-    capacity: int,
-    levels: int = 1,
-    reuse: bool = False,
-    seed: int = 0,
-    fd_config: Optional[ForceDirectedConfig] = None,
-    stitch_config: Optional[StitchingConfig] = None,
-    sim_config: Optional[SimulatorConfig] = None,
-) -> FactoryEvaluation:
-    """Build, map and simulate one factory configuration."""
-    return _default_pipeline.evaluate(
-        EvaluationRequest(
-            method=method,
-            capacity=capacity,
-            levels=levels,
-            reuse=reuse,
-            seed=seed,
-            fd_config=fd_config,
-            stitch_config=stitch_config,
-            sim_config=sim_config,
-        )
-    )
-
-
-def capacity_sweep(
-    methods: Sequence[str],
-    capacities: Sequence[int],
-    levels: int = 1,
-    reuse: bool = False,
-    seed: int = 0,
-    fd_config: Optional[ForceDirectedConfig] = None,
-    stitch_config: Optional[StitchingConfig] = None,
-    sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
-    batch: bool = False,
-) -> List[FactoryEvaluation]:
-    """Evaluate every (method, capacity) combination.
-
-    With ``workers=1`` (the default) the sweep runs serially on the shared
-    process-wide pipeline, reusing its factory and simulation caches across
-    calls.  With ``workers > 1`` it is executed by a
-    :class:`~repro.api.executor.SweepExecutor` across worker processes;
-    results are identical and returned in the same deterministic
-    (capacity-major, method-minor) order.  With ``batch=True`` the sweep
-    runs through the executor's batching mode instead: the cache-missing
-    simulations execute together in the batched simulator core (see
-    :func:`~repro.routing.batchsim.simulate_batch`) — again with identical
-    results in the identical order.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 or batch:
-        # Imported lazily: the executor module builds on this one.
-        from .executor import SweepExecutor, SweepPlan
-
-        plan = SweepPlan.from_grid(
-            methods=methods,
-            capacities=capacities,
-            levels=levels,
-            reuse=reuse,
-            seeds=(seed,),
-            fd_config=fd_config,
-            stitch_config=stitch_config,
-            sim_config=sim_config,
-        )
-        executor = SweepExecutor(workers=workers, sim_config=sim_config, batch=batch)
-        return executor.run(plan).evaluations
-    return _default_pipeline.sweep(
-        methods,
-        capacities,
-        levels=levels,
-        reuse=reuse,
-        seed=seed,
-        fd_config=fd_config,
-        stitch_config=stitch_config,
-        sim_config=sim_config,
-    )

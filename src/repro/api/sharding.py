@@ -39,7 +39,6 @@ memo of it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 import warnings
@@ -413,19 +412,6 @@ class ShardRunResult:
         )
 
 
-def _fold_stats(total: ExecutorStats, part: ExecutorStats) -> None:
-    """Accumulate one executor run's counters into the shard total."""
-    for stats_field in dataclasses.fields(ExecutorStats):
-        if stats_field.name == "workers":
-            total.workers = max(total.workers, part.workers)
-        else:
-            setattr(
-                total,
-                stats_field.name,
-                getattr(total, stats_field.name) + getattr(part, stats_field.name),
-            )
-
-
 def run_shard(
     plan: Union[SweepPlan, Iterable[EvaluationRequest]],
     shard: ShardSpec,
@@ -472,7 +458,7 @@ def run_shard(
         plan_fingerprint=fingerprint,
         plan_entries=len(plan),
         unique_points=0,
-        stats=ExecutorStats(workers=workers),
+        stats=ExecutorStats(),
     )
 
     # Unique points in plan order: (first position, store fingerprint,
@@ -541,7 +527,7 @@ def run_shard(
             resume=True,
             progress=relay,
         )
-        _fold_stats(result.stats, run.stats)
+        result.stats.fold(run.stats)
 
     # Phase 1: the shard's own partition (claim first when stealing is on,
     # so a thief and the owner never both simulate the same point).

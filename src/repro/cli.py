@@ -926,17 +926,6 @@ def run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_experiment(name: str, **kwargs) -> str:
-    """Run an experiment by name and return its formatted result.
-
-    Backward-compatible helper: new code should use
-    :func:`repro.api.run_experiment`, which returns the structured result
-    object instead of pre-rendered text.
-    """
-    spec = get_experiment(name)
-    return spec.format(spec.run(**kwargs))
-
-
 def _experiment_kwargs(
     spec: ExperimentSpec, args: argparse.Namespace
 ) -> Dict[str, Any]:

@@ -19,14 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import FactoryEvaluation, capacity_sweep
+from ..api.executor import SweepPlan, run_sweep
 from ..api.experiments import (
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
     register_experiment,
 )
-from ..api.results import evaluation_series_from_dict, evaluation_series_to_dict
+from ..api.results import (
+    FactoryEvaluation,
+    evaluation_series_from_dict,
+    evaluation_series_to_dict,
+)
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
 from ..routing.simulator import SimulatorConfig
@@ -103,17 +107,15 @@ def run_single_level(
     workers: int = 1,
 ) -> Fig10Result:
     """Fig. 10a/10b/10e: single-level latency, area and volume sweeps."""
-    capacities = tuple(capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
+    plan = SweepPlan.from_grid(
         methods=SINGLE_LEVEL_METHODS,
-        capacities=capacities,
+        capacities=capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES,
         levels=1,
-        seed=seed,
+        seeds=(seed,),
         fd_config=fd_config,
         sim_config=sim_config,
-        workers=workers,
     )
-    return Fig10Result(levels=1, evaluations=evaluations)
+    return Fig10Result(levels=1, evaluations=run_sweep(plan, workers).evaluations)
 
 
 def run_two_level(
@@ -125,18 +127,16 @@ def run_two_level(
     workers: int = 1,
 ) -> Fig10Result:
     """Fig. 10c/10d/10f: two-level latency, area and volume sweeps."""
-    capacities = tuple(capacities or DEFAULT_TWO_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
+    plan = SweepPlan.from_grid(
         methods=TWO_LEVEL_METHODS,
-        capacities=capacities,
+        capacities=capacities or DEFAULT_TWO_LEVEL_CAPACITIES,
         levels=2,
-        seed=seed,
+        seeds=(seed,),
         fd_config=fd_config,
         stitch_config=stitch_config,
         sim_config=sim_config,
-        workers=workers,
     )
-    return Fig10Result(levels=2, evaluations=evaluations)
+    return Fig10Result(levels=2, evaluations=run_sweep(plan, workers).evaluations)
 
 
 def format_result(result: Fig10Result) -> str:

@@ -19,15 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import FactoryEvaluation, capacity_sweep
+from ..api.executor import SweepPlan, run_sweep
 from ..api.experiments import (
-    BATCH_PARAM,
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
     register_experiment,
 )
-from ..api.results import evaluation_series_from_dict, evaluation_series_to_dict
+from ..api.results import (
+    FactoryEvaluation,
+    evaluation_series_from_dict,
+    evaluation_series_to_dict,
+)
 from ..mapping.force_directed import ForceDirectedConfig
 from ..routing.simulator import SimulatorConfig
 
@@ -39,6 +42,9 @@ PAPER_TWO_LEVEL_CAPACITIES = (4, 16, 36, 64)
 #: Reduced sweeps used by default so the experiment completes quickly.
 DEFAULT_SINGLE_LEVEL_CAPACITIES = (2, 4, 6, 8, 12, 16, 20)
 DEFAULT_TWO_LEVEL_CAPACITIES = (4, 16)
+
+#: The two mappers Fig. 7 compares against the lower bound.
+METHODS = ("force_directed", "graph_partition")
 
 
 @dataclass(frozen=True)
@@ -75,21 +81,17 @@ def run_single_level(
     fd_config: Optional[ForceDirectedConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
     workers: int = 1,
-    batch: bool = False,
 ) -> Fig7Result:
     """Fig. 7a: single-level factories, FD and GP versus the lower bound."""
-    capacities = tuple(capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
-        methods=("force_directed", "graph_partition"),
-        capacities=capacities,
+    plan = SweepPlan.from_grid(
+        methods=METHODS,
+        capacities=capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES,
         levels=1,
-        seed=seed,
+        seeds=(seed,),
         fd_config=fd_config,
         sim_config=sim_config,
-        workers=workers,
-        batch=batch,
     )
-    return Fig7Result(levels=1, evaluations=evaluations)
+    return Fig7Result(levels=1, evaluations=run_sweep(plan, workers).evaluations)
 
 
 def run_two_level(
@@ -98,21 +100,17 @@ def run_two_level(
     fd_config: Optional[ForceDirectedConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
     workers: int = 1,
-    batch: bool = False,
 ) -> Fig7Result:
     """Fig. 7b: two-level factories, FD and GP versus the lower bound."""
-    capacities = tuple(capacities or DEFAULT_TWO_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
-        methods=("force_directed", "graph_partition"),
-        capacities=capacities,
+    plan = SweepPlan.from_grid(
+        methods=METHODS,
+        capacities=capacities or DEFAULT_TWO_LEVEL_CAPACITIES,
         levels=2,
-        seed=seed,
+        seeds=(seed,),
         fd_config=fd_config,
         sim_config=sim_config,
-        workers=workers,
-        batch=batch,
     )
-    return Fig7Result(levels=2, evaluations=evaluations)
+    return Fig7Result(levels=2, evaluations=run_sweep(plan, workers).evaluations)
 
 
 def format_result(result: Fig7Result) -> str:
@@ -122,7 +120,7 @@ def format_result(result: Fig7Result) -> str:
     lines = [f"Fig. 7 — latency vs lower bound (levels={result.levels})"]
     header = ["method".ljust(20)] + [f"K={c}".rjust(10) for c in capacities]
     lines.append("".join(header))
-    for method in ("force_directed", "graph_partition", "lower_bound"):
+    for method in METHODS + ("lower_bound",):
         row = [method.ljust(20)]
         for capacity in capacities:
             value = series.get(method, {}).get(capacity)
@@ -139,13 +137,13 @@ register_experiment(
     "fig7a",
     run_single_level,
     formatter=format_result,
-    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM, BATCH_PARAM),
+    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 7a: single-level FD/GP latency vs the lower bound",
 )
 register_experiment(
     "fig7b",
     run_two_level,
     formatter=format_result,
-    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM, BATCH_PARAM),
+    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 7b: two-level FD/GP latency vs the lower bound",
 )

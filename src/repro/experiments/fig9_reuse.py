@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import evaluate_factory_mapping
+from ..api.executor import SweepPlan, run_sweep
 from ..api.experiments import SEED_PARAM, ParamSpec, register_experiment
+from ..api.pipeline import EvaluationRequest
 from ..api.results import filter_fields
 from ..mapping.force_directed import ForceDirectedConfig
 from ..routing.simulator import SimulatorConfig
@@ -97,36 +98,36 @@ def run(
     sim_config: Optional[SimulatorConfig] = None,
 ) -> Fig9ReuseResult:
     """Evaluate every method with and without qubit reuse on two-level factories."""
-    capacities = tuple(capacities or DEFAULT_CAPACITIES)
-    comparisons: List[ReuseComparison] = []
-    for capacity in capacities:
-        for method in methods:
-            no_reuse = evaluate_factory_mapping(
-                method,
-                capacity,
-                levels=2,
-                reuse=False,
-                seed=seed,
-                fd_config=fd_config,
-                sim_config=sim_config,
-            )
-            reuse = evaluate_factory_mapping(
-                method,
-                capacity,
-                levels=2,
-                reuse=True,
-                seed=seed,
-                fd_config=fd_config,
-                sim_config=sim_config,
-            )
-            comparisons.append(
-                ReuseComparison(
-                    method=method,
-                    capacity=capacity,
-                    volume_no_reuse=no_reuse.volume,
-                    volume_reuse=reuse.volume,
-                )
-            )
+    pairs = [
+        (method, capacity)
+        for capacity in capacities or DEFAULT_CAPACITIES
+        for method in methods
+    ]
+    plan = SweepPlan.from_requests(
+        EvaluationRequest(
+            method=method,
+            capacity=capacity,
+            levels=2,
+            reuse=reuse,
+            seed=seed,
+            fd_config=fd_config,
+            sim_config=sim_config,
+        )
+        for method, capacity in pairs
+        for reuse in (False, True)
+    )
+    evaluations = run_sweep(plan).evaluations
+    comparisons = [
+        ReuseComparison(
+            method=method,
+            capacity=capacity,
+            volume_no_reuse=no_reuse.volume,
+            volume_reuse=reuse.volume,
+        )
+        for (method, capacity), no_reuse, reuse in zip(
+            pairs, evaluations[0::2], evaluations[1::2]
+        )
+    ]
     return Fig9ReuseResult(comparisons=comparisons)
 
 

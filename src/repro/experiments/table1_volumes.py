@@ -21,8 +21,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import FactoryEvaluation, evaluate_factory_mapping
-from ..api.executor import SweepExecutor, SweepPlan
+from ..api.executor import SweepPlan, run_sweep
 from ..api.experiments import (
     SEED_PARAM,
     WORKERS_PARAM,
@@ -30,7 +29,7 @@ from ..api.experiments import (
     register_experiment,
 )
 from ..api.pipeline import EvaluationRequest
-from ..api.results import int_keyed, str_keyed
+from ..api.results import FactoryEvaluation, int_keyed, str_keyed
 from ..distillation.block_code import FactorySpec
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
@@ -170,15 +169,13 @@ def run(
 ) -> Table1Result:
     """Regenerate one level-block of Table I.
 
-    The table is expanded into an explicit request list first (one request
-    per non-blank cell); with ``workers > 1`` those requests run across a
-    :class:`~repro.api.executor.SweepExecutor` process pool, producing the
-    identical table in the identical order.
+    The table is expanded into an explicit request list (one request per
+    non-blank cell, in row order within each capacity) and run as one sweep;
+    ``workers > 1`` spreads it across a process pool with the identical
+    table as the result.
     """
     if levels not in (1, 2):
         raise ValueError("Table I covers one- and two-level factories only")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if capacities is None:
         capacities = (
             DEFAULT_LEVEL1_CAPACITIES if levels == 1 else DEFAULT_LEVEL2_CAPACITIES
@@ -201,29 +198,10 @@ def run(
             if request is not None:
                 cells.append((row, capacity, request))
 
-    if workers > 1:
-        plan = SweepPlan.from_requests(request for _, _, request in cells)
-        results = SweepExecutor(workers=workers, sim_config=sim_config).run(plan)
-        cell_evaluations = results.evaluations
-    else:
-        cell_evaluations = [
-            evaluate_factory_mapping(
-                request.method,
-                request.capacity,
-                levels=request.levels,
-                reuse=request.reuse,
-                seed=request.seed,
-                fd_config=request.fd_config,
-                stitch_config=request.stitch_config,
-                sim_config=request.sim_config,
-            )
-            for _, _, request in cells
-        ]
-
-    evaluations: List[FactoryEvaluation] = []
-    for (row, capacity, _), evaluation in zip(cells, cell_evaluations):
+    plan = SweepPlan.from_requests(request for _, _, request in cells)
+    evaluations = run_sweep(plan, workers).evaluations
+    for (row, capacity, _), evaluation in zip(cells, evaluations):
         volumes.setdefault(row, {})[capacity] = float(evaluation.volume)
-        evaluations.append(evaluation)
     return Table1Result(levels=levels, volumes=volumes, evaluations=evaluations)
 
 

@@ -5,17 +5,26 @@ import pytest
 from repro.analysis import (
     MAPPING_METHODS,
     best_volume_by_method,
-    capacity_sweep,
     collect_samples,
     correlation_study,
-    evaluate_factory_mapping,
-    evaluate_mapping,
     format_sweep_table,
     mapping_area,
     occupied_bounding_box,
 )
+from repro.api import EvaluationRequest, Pipeline, SweepPlan, run_sweep
 from repro.mapping import Placement
 from repro.routing import SimulatorConfig
+
+
+def evaluate(method, capacity, **kwargs):
+    """One factory configuration, built, mapped and simulated end to end."""
+    request = EvaluationRequest(method=method, capacity=capacity, **kwargs)
+    return Pipeline().evaluate(request)
+
+
+def sweep(methods, capacities, **kwargs):
+    """Every (method, capacity) combination, in capacity-major order."""
+    return run_sweep(SweepPlan.from_grid(methods, capacities, **kwargs)).evaluations
 
 
 class TestVolumeAccounting:
@@ -33,12 +42,6 @@ class TestVolumeAccounting:
     def test_mapping_area_ignores_unused_grid(self):
         placement = Placement(width=100, height=100, positions={0: (0, 0), 1: (1, 1)})
         assert mapping_area(placement) == 4
-
-    def test_evaluate_mapping(self, single_level_k4, k4_linear_placement):
-        result = evaluate_mapping(single_level_k4.circuit, k4_linear_placement)
-        assert result.latency > 0
-        assert result.area == mapping_area(k4_linear_placement)
-        assert result.volume == result.latency * result.area
 
 
 class TestCorrelationStudy:
@@ -65,34 +68,34 @@ class TestCorrelationStudy:
 class TestFactoryEvaluation:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_factory_mapping("bogus", 4)
+            evaluate("bogus", 4)
 
     @pytest.mark.parametrize("method", ["random", "linear", "graph_partition"])
     def test_single_level_methods(self, method):
-        evaluation = evaluate_factory_mapping(method, 4, levels=1, seed=0)
+        evaluation = evaluate(method, 4, levels=1, seed=0)
         assert evaluation.latency >= evaluation.critical_latency
         assert evaluation.volume == evaluation.latency * evaluation.area
         assert evaluation.method == method
 
     def test_volume_over_critical_at_least_one(self):
-        evaluation = evaluate_factory_mapping("linear", 4, levels=1)
+        evaluation = evaluate("linear", 4, levels=1)
         assert evaluation.volume_over_critical >= 1.0
 
     def test_hierarchical_stitching_two_level(self):
-        evaluation = evaluate_factory_mapping("hierarchical_stitching", 4, levels=2)
+        evaluation = evaluate("hierarchical_stitching", 4, levels=2)
         assert evaluation.latency >= evaluation.critical_latency
         assert evaluation.area > 0
 
     def test_reuse_flag_changes_result(self):
-        no_reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=False)
-        reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=True)
+        no_reuse = evaluate("linear", 4, levels=2, reuse=False)
+        reuse = evaluate("linear", 4, levels=2, reuse=True)
         assert reuse.area <= no_reuse.area
 
     def test_sim_config_propagates(self):
-        fast = evaluate_factory_mapping(
+        fast = evaluate(
             "linear", 4, levels=1, sim_config=SimulatorConfig(max_candidates=8)
         )
-        strict = evaluate_factory_mapping(
+        strict = evaluate(
             "linear", 4, levels=1, sim_config=SimulatorConfig(max_candidates=1)
         )
         assert fast.latency <= strict.latency
@@ -104,28 +107,28 @@ class TestSweeps:
         assert "linear" in MAPPING_METHODS
 
     def test_capacity_sweep_shape(self):
-        results = capacity_sweep(["linear", "graph_partition"], [2, 4], levels=1)
+        results = sweep(["linear", "graph_partition"], [2, 4], levels=1)
         assert len(results) == 4
         assert {r.capacity for r in results} == {2, 4}
 
     def test_best_volume_by_method_picks_minimum(self):
-        results = capacity_sweep(["linear"], [4], levels=2, reuse=False)
-        results += capacity_sweep(["linear"], [4], levels=2, reuse=True)
+        results = sweep(["linear"], [4], levels=2, reuse=False)
+        results += sweep(["linear"], [4], levels=2, reuse=True)
         best = best_volume_by_method(results)
         assert best["linear"][4].volume == min(r.volume for r in results)
 
     def test_format_sweep_table(self):
-        results = capacity_sweep(["linear"], [2, 4], levels=1)
+        results = sweep(["linear"], [2, 4], levels=1)
         table = format_sweep_table(results, value="volume")
         assert "K=2" in table and "K=4" in table
         assert "Line" in table
 
     def test_format_sweep_table_rejects_bad_field(self):
-        results = capacity_sweep(["linear"], [2], levels=1)
+        results = sweep(["linear"], [2], levels=1)
         with pytest.raises(ValueError):
             format_sweep_table(results, value="bogus")
 
     def test_linear_single_level_close_to_bound(self):
-        evaluation = evaluate_factory_mapping("linear", 8, levels=1)
+        evaluation = evaluate("linear", 8, levels=1)
         # The hand layout should stay within a small factor of the bound.
         assert evaluation.volume_over_critical < 3.0

@@ -12,13 +12,15 @@ from repro.api import (
     ParamSpec,
     Pipeline,
     RegistryError,
+    SweepExecutor,
+    SweepPlan,
     available_experiments,
     available_mappers,
-    capacity_sweep,
     get_experiment,
     get_mapper,
     register_experiment,
     register_mapper,
+    run_sweep,
     to_json,
     unregister_experiment,
     unregister_mapper,
@@ -77,14 +79,6 @@ class TestMapperRegistry:
             register_mapper(instance, name="linear")
         assert instance.name == "snake"
 
-    def test_experiments_view_keeps_dict_semantics(self):
-        from repro.experiments import EXPERIMENTS
-
-        assert "nope" not in EXPERIMENTS
-        assert EXPERIMENTS.get("nope") is None
-        with pytest.raises(KeyError):
-            EXPERIMENTS["nope"]
-
     def test_function_mapper_registration(self):
         @register_mapper(name="reversed_rows")
         def reversed_rows(factory, *, seed=0, context=None):
@@ -114,7 +108,8 @@ class TestCustomMapperEndToEnd:
         assert evaluation.volume == evaluation.latency * evaluation.area
 
     def test_capacity_sweep_picks_up_custom_mapper(self, snake_mapper):
-        results = capacity_sweep(["linear", snake_mapper], [2, 4], levels=1)
+        plan = SweepPlan.from_grid(["linear", snake_mapper], [2, 4], levels=1)
+        results = run_sweep(plan).evaluations
         assert [(r.method, r.capacity) for r in results] == [
             ("linear", 2),
             ("snake", 2),
@@ -133,7 +128,7 @@ class TestPipelineCaching:
             return real_build(spec, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "build_factory", counting_build)
-        pipeline = Pipeline()
+        executor = SweepExecutor()
         methods = [
             "random",
             "linear",
@@ -141,24 +136,27 @@ class TestPipelineCaching:
             "graph_partition",
             "hierarchical_stitching",
         ]
-        pipeline.sweep(methods, [4], levels=2)
+        stats = executor.run(SweepPlan.from_grid(methods, [4], levels=2)).stats
         # One base factory for all five mappers (hierarchical stitching's
         # port-reassignment rebuild goes through repro.mapping.stitching,
         # not the pipeline's builder).
         assert len(builds) == 1
-        assert pipeline.stats.factory_builds == 1
-        assert pipeline.stats.cache_hits == len(methods) - 1
+        assert stats.factory_builds == 1
+        assert stats.factory_cache_hits == len(methods) - 1
 
-        pipeline.sweep(methods, [4], levels=2, reuse=True)
-        assert pipeline.stats.factory_builds == 2  # reuse=True is a new config
+        plan = SweepPlan.from_grid(methods, [4], levels=2, reuse=True)
+        stats = executor.run(plan).stats
+        assert stats.factory_builds == 1  # reuse=True is a new config
+        assert len(builds) == 2
 
-    def test_cache_is_lru_bounded(self):
-        pipeline = Pipeline(cache_size=1)
+    def test_cache_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "FACTORY_CACHE_SIZE", 1)
+        pipeline = Pipeline()
         pipeline.factory(2, 1)
         pipeline.factory(4, 1)
         pipeline.factory(2, 1)
         assert pipeline.stats.factory_builds == 3
-        assert pipeline.stats.cache_hits == 0
+        assert pipeline.stats.factory_cache_hits == 0
 
     def test_stitched_mapping_used_for_hierarchical(self):
         pipeline = Pipeline()
@@ -366,27 +364,8 @@ class TestSimStallStats:
         assert delta.sim_wakeups == before.sim_wakeups
 
     def test_executor_stats_round_trip_sim_counters(self):
-        from repro.api import SweepExecutor, SweepPlan
-
         plan = SweepPlan.from_grid(methods=("random",), capacities=(4,))
         result = SweepExecutor(workers=1).run(plan)
         stats = result.stats.to_dict()
         assert stats["sim_distinct_stalls"] > 0
         assert stats["sim_wakeups"] <= stats["sim_stall_events"]
-
-    def test_evaluation_result_carries_counters(self):
-        from repro.analysis.volume import evaluate_mapping
-        from repro.circuits import cnot
-        from repro.routing import SimulatorConfig
-
-        placement = Placement(
-            width=6,
-            height=1,
-            positions={0: (0, 0), 1: (0, 3), 2: (0, 1), 3: (0, 4)},
-        )
-        evaluation = evaluate_mapping(
-            [cnot(0, 1), cnot(2, 3)], placement, SimulatorConfig(max_candidates=1)
-        )
-        assert evaluation.stall_events == 1
-        assert evaluation.distinct_stalls == 1
-        assert evaluation.wakeups == 1

@@ -19,7 +19,6 @@ from repro.api import (
     SweepPlan,
     SweepProgress,
     SweepRunResult,
-    capacity_sweep,
     get_mapper,
     recommended_workers,
     register_mapper,
@@ -114,9 +113,9 @@ class TestSweepPlan:
 # ----------------------------------------------------------------------
 class TestExecutorDeterminism:
     def test_serial_matches_pipeline_sweep(self):
-        serial = SweepExecutor(workers=1).run(small_plan())
-        reference = Pipeline().sweep(METHODS, CAPACITIES)
-        assert serial.evaluations == reference
+        plan = small_plan()
+        serial = SweepExecutor(workers=1).run(plan)
+        assert serial.evaluations == [Pipeline().evaluate(r) for r in plan]
 
     def test_workers_1_vs_4_byte_identical(self):
         """Same seed, 1 vs 4 workers: byte-identical serialized results."""
@@ -126,11 +125,6 @@ class TestExecutorDeterminism:
         blob_1 = json.dumps(serial.to_dict(), sort_keys=True)
         blob_4 = json.dumps(parallel.to_dict(), sort_keys=True)
         assert blob_1 == blob_4
-
-    def test_capacity_sweep_workers_kwarg(self):
-        assert capacity_sweep(METHODS, CAPACITIES, workers=2) == capacity_sweep(
-            METHODS, CAPACITIES
-        )
 
     def test_run_sweep_convenience(self):
         result = run_sweep(small_plan(), workers=1)
@@ -148,8 +142,6 @@ class TestExecutorDeterminism:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             SweepExecutor(workers=0)
-        with pytest.raises(ValueError):
-            capacity_sweep(METHODS, (2,), workers=0)
         with pytest.raises(ValueError):
             from repro.experiments import table1_volumes
 
@@ -195,6 +187,46 @@ class TestCacheAccounting:
         assert stats.requests == stats.duplicate_hits + stats.evaluations
         assert stats.workers == 2
         assert stats.wall_seconds > 0
+
+    def test_workers_counts_the_processes_that_ran(self):
+        """``stats.workers`` reports processes used, not the configured count."""
+        plan = small_plan()
+        batched = SweepExecutor(workers=4, batch=True).run(plan)
+        assert batched.stats.workers == 1  # batching runs in-process
+        single = SweepExecutor(workers=8).run(plan[:1])
+        assert single.stats.workers == 1  # one pending point runs serially
+        pooled = SweepExecutor(workers=8).run(plan)
+        assert pooled.stats.workers == len(plan)  # pool of min(8, pending)
+
+    def test_stats_to_dict_keys_pinned(self):
+        """The ``--json`` stats keys and their order are a public contract."""
+        assert list(ExecutorStats().to_dict()) == [
+            "requests",
+            "evaluations",
+            "duplicate_hits",
+            "store_hits",
+            "factory_builds",
+            "factory_cache_hits",
+            "sim_cache_hits",
+            "fd_sweeps",
+            "fd_moves_accepted",
+            "sim_stall_events",
+            "sim_distinct_stalls",
+            "sim_wakeups",
+            "build_seconds",
+            "map_seconds",
+            "sim_seconds",
+            "workers",
+            "wall_seconds",
+        ]
+
+    def test_fold_adds_counters_and_maxes_workers(self):
+        total = ExecutorStats(requests=2, evaluations=2, workers=2)
+        total.fold(PipelineStats(evaluations=1, factory_cache_hits=3))
+        total.fold(ExecutorStats(requests=1, store_hits=1, workers=3))
+        assert total == ExecutorStats(
+            requests=3, evaluations=3, store_hits=1, factory_cache_hits=3, workers=3
+        )
 
 
 # ----------------------------------------------------------------------
@@ -340,13 +372,13 @@ class TestSimulationCache:
         assert pipeline.stats.sim_cache_hits == 1
 
     def test_stats_snapshot_delta(self):
-        stats = PipelineStats(factory_builds=3, cache_hits=2, evaluations=5)
+        stats = PipelineStats(factory_builds=3, factory_cache_hits=2, evaluations=5)
         snap = stats.snapshot()
         stats.factory_builds += 1
         stats.sim_cache_hits += 4
         delta = stats.delta(snap)
         assert delta == PipelineStats(
-            factory_builds=1, cache_hits=0, evaluations=0, sim_cache_hits=4
+            factory_builds=1, factory_cache_hits=0, evaluations=0, sim_cache_hits=4
         )
 
     def test_phase_seconds_attribute_wall_time_to_the_right_layer(self):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main, run_experiment
+from repro.api import available_experiments, run_experiment
+from repro.cli import build_parser, main
 from repro.experiments import (
-    EXPERIMENTS,
     fig6_correlation,
     fig7_scaling,
     fig9_permutation,
@@ -59,10 +59,15 @@ class TestFig9Reuse:
         assert -1.0 <= comparison.differential <= 1.0
 
     def test_reuse_saves_area_for_linear(self):
-        from repro.analysis import evaluate_factory_mapping
+        from repro.api import EvaluationRequest, Pipeline
 
-        no_reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=False)
-        reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=True)
+        pipeline = Pipeline()
+        no_reuse = pipeline.evaluate(
+            EvaluationRequest(method="linear", capacity=4, levels=2, reuse=False)
+        )
+        reuse = pipeline.evaluate(
+            EvaluationRequest(method="linear", capacity=4, levels=2, reuse=True)
+        )
         assert reuse.area <= no_reuse.area
 
     def test_format(self):
@@ -160,11 +165,11 @@ class TestRegistryAndCli:
             "table1-level1",
             "table1-level2",
         }
-        assert expected <= set(EXPERIMENTS)
+        assert expected <= set(available_experiments())
 
     def test_run_experiment_by_name(self):
-        output = run_experiment("fig6", num_mappings=4)
-        assert "edge crossings" in output
+        result = run_experiment("fig6", num_mappings=4)
+        assert "edge crossings" in fig6_correlation.format_result(result)
 
     def test_parser_list_command(self, capsys):
         assert main(["list"]) == 0

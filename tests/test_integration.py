@@ -7,8 +7,14 @@ model of the simulator.
 
 import pytest
 
-from repro.analysis import evaluate_factory_mapping
+from repro.api import EvaluationRequest, Pipeline
 from repro.experiments import fig6_correlation, fig9_permutation, fig10_resources
+
+
+def evaluate(method, capacity, **kwargs):
+    """One factory configuration, built, mapped and simulated end to end."""
+    request = EvaluationRequest(method=method, capacity=capacity, **kwargs)
+    return Pipeline().evaluate(request)
 
 
 class TestSingleLevelClaims:
@@ -28,8 +34,8 @@ class TestSingleLevelClaims:
                 assert evaluation.latency <= 1.6 * evaluation.critical_latency
 
     def test_random_is_the_worst_mapping(self):
-        random_eval = evaluate_factory_mapping("random", 8, levels=1, seed=0)
-        linear_eval = evaluate_factory_mapping("linear", 8, levels=1)
+        random_eval = evaluate("random", 8, levels=1, seed=0)
+        linear_eval = evaluate("linear", 8, levels=1)
         assert random_eval.volume > linear_eval.volume
 
 
@@ -58,8 +64,8 @@ class TestTwoLevelClaims:
         assert volumes["graph_partition"][16] < volumes["linear"][16]
 
     def test_two_level_overheads_exceed_single_level(self):
-        single = evaluate_factory_mapping("linear", 4, levels=1)
-        double = evaluate_factory_mapping("linear", 4, levels=2)
+        single = evaluate("linear", 4, levels=1)
+        double = evaluate("linear", 4, levels=2)
         assert double.volume > single.volume
         assert double.volume_over_critical >= single.volume_over_critical
 

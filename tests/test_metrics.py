@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from repro.api import default_pipeline
+from repro.api import Pipeline
 from repro.graphs import (
     MappingCostTracker,
     average_edge_length,
@@ -199,7 +199,7 @@ class TestBucketedParity:
     def test_crossings_match_reference_on_factory_linear_placement(
         self, capacity, levels
     ):
-        factory = default_pipeline().factory(capacity, levels)
+        factory = Pipeline().factory(capacity, levels)
         graph = interaction_graph(factory.circuit)
         positions = linear_factory_placement(factory).as_float_positions()
         assert count_edge_crossings(graph, positions) == (

@@ -283,6 +283,14 @@ class TestShardMergeIdentity:
         restored = ShardRunResult.from_dict(result.to_dict())
         assert restored.to_dict() == result.to_dict()
 
+    def test_stats_fold_runs_and_count_processes_used(self, tmp_path):
+        plan = small_plan()
+        store = ResultStore(tmp_path / "s")
+        result = run_shard(plan, ShardSpec(0, 1), store, workers=4, batch=True)
+        stats = result.stats
+        assert stats.requests == stats.evaluations == len(plan)
+        assert stats.workers == 1  # a batched run evaluates in-process
+
     def test_progress_events_cover_every_point(self, tmp_path):
         plan = small_plan()
         events = []
