@@ -87,7 +87,7 @@ def test_bench_etag_revalidation_is_cheap(benchmark, live_service):
 
     run_once(benchmark, revalidate_many)
     assert service.store.counters() == reads_before
-    assert service.pipeline.stats.evaluations == 1
+    assert service.status()["evaluate"]["evaluations"] == 1
     assert service.counters.not_modified == 50
 
 
@@ -111,7 +111,7 @@ def test_bench_coalesced_herd_costs_one_evaluation(benchmark, live_service):
     assert len(set(bodies)) == 1
     # The herd cost one evaluation; everyone else coalesced or hit the
     # store the leader had just populated.
-    assert service.pipeline.stats.evaluations == 1
+    assert service.status()["evaluate"]["evaluations"] == 1
     sources = [body["source"] for _, _, body in responses]
     assert sources.count("evaluated") == 1
     assert service.counters.coalesced_hits == sources.count("coalesced")

@@ -70,6 +70,7 @@ from typing import (
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
 from ..routing.simulator import SimulatorConfig
+from .mappers import get_mapper
 from .pipeline import EvaluationRequest, Pipeline, PipelineStats
 from .results import FactoryEvaluation
 from .store import ResultStore, as_result_store
@@ -273,6 +274,10 @@ class SweepProgress:
 #: Signature of the optional ``progress=`` callback of ``SweepExecutor.run``.
 ProgressCallback = Callable[[SweepProgress], None]
 
+#: The per-result step a runner hands each fresh evaluation to:
+#: ``finish(unique_slot, evaluation, wall_seconds)`` persists and reports it.
+FinishCallback = Callable[[int, FactoryEvaluation, float], None]
+
 
 @dataclass
 class SweepRunResult:
@@ -354,26 +359,30 @@ class SweepExecutor:
         own ``sim_config`` takes precedence), forwarded to each worker.
     store:
         Optional persistent :class:`~repro.api.store.ResultStore` (or a
-        path, wrapped automatically).  When attached, every completed
-        evaluation is persisted **as soon as it finishes** — in completion
-        order, not plan order — so a killed sweep keeps everything it
-        already computed.  Reads happen only on a *resumed* run (see
-        ``resume``): plan entries already in the store are answered without
-        dispatching any work, counted exactly in ``stats.store_hits``.
+        path, wrapped automatically).  The executor is the only code on the
+        evaluation path that reads or writes it; the pipelines below only
+        compute.  When attached, every completed evaluation is persisted
+        through one shared step as soon as its runner has it — per request
+        when serial, per batch under ``batch``, in completion order across
+        workers — so a killed sweep keeps everything it already computed.
+        Reads happen only on a *resumed* run (see ``resume``): plan entries
+        already in the store are answered without dispatching any work,
+        counted exactly in ``stats.store_hits``.
     resume:
         Default for :meth:`run`'s ``resume`` flag.  ``resume=True`` requires
         a store and makes the run skip already-stored requests; the output
         is byte-identical to an uninterrupted run either way, because
         evaluation is deterministic in the request.
     batch:
-        ``True`` routes the pending requests through the serial pipeline's
-        batched evaluation path (:meth:`Pipeline.evaluate_batch`): store
-        and simulation-cache probes still happen per request, and only the
-        cache-missing simulations are grouped into one
-        :func:`~repro.routing.batchsim.simulate_batch` call.  The batch
-        *is* the parallelism, so this mode runs in-process and takes
-        precedence over ``workers > 1``.  Results are byte-identical to the
-        unbatched run in every mode combination.
+        ``True`` routes the requests left after the resume probe through
+        the serial pipeline's batched evaluation path
+        (:meth:`Pipeline.evaluate_batch`): simulation-cache probes still
+        happen per request, and only the cache-missing simulations are
+        grouped into one :func:`~repro.routing.batchsim.simulate_batch`
+        call.  The batch *is* the parallelism, so this mode runs in-process
+        and takes precedence over ``workers > 1``.  Results are persisted
+        once the whole batch is done, so durability is per batch.  They
+        are byte-identical to the unbatched run in every mode combination.
 
     Notes
     -----
@@ -435,8 +444,12 @@ class SweepExecutor:
         and ``resume=True`` (per call, or the executor default), requests
         already persisted are answered from the store without dispatching
         any work — which is how a killed sweep restarts where it died — and
-        every freshly computed result is persisted the moment it completes.
-        The assembled output is byte-identical with or without the store.
+        every freshly computed result is persisted the moment its runner
+        hands it over.  The assembled output is byte-identical with or
+        without the store.  Every request's mapper is resolved before the
+        store is probed, so an unknown name raises
+        :class:`~repro.api.registry.RegistryError` before any read, write or
+        evaluation.
 
         ``progress`` is called with one :class:`SweepProgress` per unique
         request the moment it resolves (after any store persistence), in
@@ -468,15 +481,21 @@ class SweepExecutor:
                 stats.duplicate_hits += 1
             slots.append(slot)
 
+        # Fail fast on an unknown mapper: before any store probe or work.
+        for method in dict.fromkeys(request.method for request in unique):
+            get_mapper(method)
+
         # Progress accounting is over plan entries: resolving a unique slot
         # resolves its first occurrence plus every duplicate at once.
         indices_of_slot: List[List[int]] = [[] for _ in unique]
         for position, slot in enumerate(slots):
             indices_of_slot[slot].append(position)
+        unique_results: List[Optional[FactoryEvaluation]] = [None] * len(unique)
         done_entries = 0
 
-        def report(slot: int, source: str, evaluation: FactoryEvaluation) -> None:
+        def resolve(slot: int, source: str, evaluation: FactoryEvaluation) -> None:
             nonlocal done_entries
+            unique_results[slot] = evaluation
             done_entries += len(indices_of_slot[slot])
             if progress is not None:
                 progress(
@@ -490,29 +509,35 @@ class SweepExecutor:
                     )
                 )
 
+        def finish(slot: int, evaluation: FactoryEvaluation, wall: float) -> None:
+            """The one persist-and-report step every runner calls per result."""
+            if self.store is not None:
+                self.store.try_put(
+                    self._storage_request(unique[slot]), evaluation, wall_seconds=wall
+                )
+            resolve(slot, "evaluated", evaluation)
+
         # On a resumed run, answer already-stored requests before scheduling
         # anything: a 10k-point sweep killed at 9k re-executes only 1k.
-        unique_results: List[Optional[FactoryEvaluation]] = [None] * len(unique)
         pending = list(range(len(unique)))
         if resume and self.store is not None:
             still_pending: List[int] = []
             for index in pending:
                 stored = self.store.get(self._storage_request(unique[index]))
                 if stored is not None:
-                    unique_results[index] = stored
                     stats.store_hits += 1
-                    report(index, "store", stored)
+                    resolve(index, "store", stored)
                 else:
                     still_pending.append(index)
             pending = still_pending
 
         if pending:
             if self.batch:
-                self._run_batched(unique, unique_results, pending, stats, report)
+                self._run_batched(unique, pending, stats, finish)
             elif self.workers == 1 or len(pending) <= 1:
-                self._run_serial(unique, unique_results, pending, stats, report)
+                self._run_serial(unique, pending, stats, finish)
             else:
-                self._run_parallel(unique, unique_results, pending, stats, report)
+                self._run_parallel(unique, pending, stats, finish)
 
         evaluations = [unique_results[slot] for slot in slots]
         stats.wall_seconds = time.perf_counter() - started
@@ -525,38 +550,30 @@ class SweepExecutor:
     def _run_serial(
         self,
         unique: Sequence[EvaluationRequest],
-        unique_results: List[Optional[FactoryEvaluation]],
         pending: Sequence[int],
         stats: ExecutorStats,
-        report: Callable[[int, str, FactoryEvaluation], None],
+        finish: FinishCallback,
     ) -> None:
+        """Evaluate one request at a time; each is persisted before the next."""
         pipeline = self.pipeline()
         for index in pending:
             before = pipeline.stats.snapshot()
             tick = time.perf_counter()
             evaluation = pipeline.evaluate(unique[index])
             wall = time.perf_counter() - tick
-            unique_results[index] = evaluation
             stats.fold(pipeline.stats.delta(before))
-            # Persist immediately: if the process dies on a later request,
-            # everything up to here survives for a resumed run.
-            if self.store is not None:
-                self.store.try_put(
-                    self._storage_request(unique[index]), evaluation, wall_seconds=wall
-                )
-            report(index, "evaluated", evaluation)
+            finish(index, evaluation, wall)
 
     def _run_batched(
         self,
         unique: Sequence[EvaluationRequest],
-        unique_results: List[Optional[FactoryEvaluation]],
         pending: Sequence[int],
         stats: ExecutorStats,
-        report: Callable[[int, str, FactoryEvaluation], None],
+        finish: FinishCallback,
     ) -> None:
         """The batching mode: one grouped pass over every pending request.
 
-        Store and simulation-cache probes still happen per request inside
+        Simulation-cache probes still happen per request inside
         :meth:`~repro.api.pipeline.Pipeline.evaluate_batch`; only the
         cache-missing simulations are batched.  Results land in the same
         unique slots as the serial runner, so the assembled output is
@@ -569,26 +586,17 @@ class SweepExecutor:
         before = pipeline.stats.snapshot()
         tick = time.perf_counter()
         evaluations = pipeline.evaluate_batch([unique[index] for index in pending])
-        wall = time.perf_counter() - tick
+        share = (time.perf_counter() - tick) / len(pending)
         stats.fold(pipeline.stats.delta(before))
-        share = wall / len(pending)
         for index, evaluation in zip(pending, evaluations):
-            unique_results[index] = evaluation
-            if self.store is not None:
-                self.store.try_put(
-                    self._storage_request(unique[index]),
-                    evaluation,
-                    wall_seconds=share,
-                )
-            report(index, "evaluated", evaluation)
+            finish(index, evaluation, share)
 
     def _run_parallel(
         self,
         unique: Sequence[EvaluationRequest],
-        unique_results: List[Optional[FactoryEvaluation]],
         pending: Sequence[int],
         stats: ExecutorStats,
-        report: Callable[[int, str, FactoryEvaluation], None],
+        finish: FinishCallback,
     ) -> None:
         stats.workers = min(self.workers, len(pending))
         with ProcessPoolExecutor(
@@ -609,22 +617,14 @@ class SweepExecutor:
             # resumed run re-executes only the genuinely failed work.
             first_error: Optional[BaseException] = None
             for future in as_completed(futures):
-                index = futures[future]
                 try:
                     evaluation, delta, wall = future.result()
                 except Exception as error:
                     if first_error is None:
                         first_error = error
                     continue
-                unique_results[index] = evaluation
                 stats.fold(delta)
-                if self.store is not None:
-                    self.store.try_put(
-                        self._storage_request(unique[index]),
-                        evaluation,
-                        wall_seconds=wall,
-                    )
-                report(index, "evaluated", evaluation)
+                finish(futures[future], evaluation, wall)
             if first_error is not None:
                 raise first_error
 

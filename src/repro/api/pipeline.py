@@ -10,7 +10,8 @@ reports the :class:`~repro.api.results.FactoryEvaluation` data point.
 :class:`EvaluationRequest` is the serializable description of one such run.
 Many requests — a sweep — run through
 :class:`~repro.api.executor.SweepExecutor`, which keeps one long-lived
-pipeline per process.
+pipeline per process and is the only reader and writer of the persistent
+:class:`~repro.api.store.ResultStore`.
 """
 
 from __future__ import annotations
@@ -19,19 +20,7 @@ import dataclasses
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # imported only for annotations: store.py imports this module
-    from .store import ResultStore
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits.gates import GateKind
 from ..distillation.block_code import (
@@ -40,11 +29,7 @@ from ..distillation.block_code import (
     ReusePolicy,
     build_factory,
 )
-from ..mapping.force_directed import (
-    ForceDirectedConfig,
-    refine_run_count,
-    take_refine_stats,
-)
+from ..mapping.force_directed import ForceDirectedConfig, take_refine_stats
 from ..mapping.stitching import StitchedMapping, StitchingConfig
 from ..routing.simulator import SimulationCache, SimulatorConfig
 from ..scheduling.critical_path import (
@@ -199,12 +184,6 @@ class PipelineStats:
     the simulation work this process performed, so the numbers are stable
     across cache states and worker counts.
 
-    ``store_hits`` counts requests answered whole from the attached
-    :class:`~repro.api.store.ResultStore` — those runs skip mapping and
-    simulation entirely, so they increment *only* this counter (not
-    ``evaluations`` and not the per-workload sim counters above):
-    ``store_hits + evaluations`` is the number of ``evaluate`` calls.
-
     ``build_seconds`` / ``map_seconds`` / ``sim_seconds`` split the wall
     time of the three pipeline phases — factory-circuit construction
     (cache misses only), mapper placement, and simulation (including
@@ -216,7 +195,6 @@ class PipelineStats:
     factory_cache_hits: int = 0
     evaluations: int = 0
     sim_cache_hits: int = 0
-    store_hits: int = 0
     fd_sweeps: int = 0
     fd_moves_accepted: int = 0
     sim_stall_events: int = 0
@@ -248,27 +226,19 @@ class Pipeline:
     sim_config:
         Default simulator configuration for every evaluation (a request's
         own ``sim_config`` takes precedence).
-    store:
-        Optional :class:`~repro.api.store.ResultStore` (or anything with its
-        ``get``/``put`` contract).  When set, every request is probed in the
-        store *before* building or simulating — a hit returns the persisted
-        :class:`FactoryEvaluation` (counted in ``stats.store_hits``) and a
-        miss persists the freshly computed one, so results amortize across
-        processes and machine reboots, not just within this process.
+
+    The pipeline only computes: it never reads or writes a
+    :class:`~repro.api.store.ResultStore`.  Persistence across processes is
+    :class:`~repro.api.executor.SweepExecutor`'s job (``store=``).
 
     Built factories are kept in an LRU bounded at :data:`FACTORY_CACHE_SIZE`
     and simulation results in a :class:`~repro.routing.simulator.SimulationCache`,
     so repeated sweep points never rebuild or re-simulate.
     """
 
-    def __init__(
-        self,
-        sim_config: Optional[SimulatorConfig] = None,
-        store: Optional["ResultStore"] = None,
-    ) -> None:
+    def __init__(self, sim_config: Optional[SimulatorConfig] = None) -> None:
         self.sim_config = sim_config
         self.sim_cache = SimulationCache()
-        self.store = store
         self.stats = PipelineStats()
         self._factories: "OrderedDict[Tuple[int, int, ReusePolicy], Factory]" = (
             OrderedDict()
@@ -311,34 +281,35 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _map_request(self, mapper, request: EvaluationRequest, sim_config):
-        """Build the factory and run the mapper for one request.
+    def _map_request(self, request: EvaluationRequest):
+        """Resolve the mapper, build the factory and place one request.
 
-        Returns the concrete simulation point ``(circuit, placement,
-        config)`` — with hop configs resolved for stitched mappings — after
+        Returns ``(sim_config, circuit, placement, point_config)``: the
+        request's effective simulator config and the concrete simulation
+        point — with hop configs resolved for stitched mappings — after
         folding the mapper's refinement statistics into :attr:`stats`.
         """
+        # Resolve the mapper first: an unknown name should fail before any
+        # factory is built, with a message listing the registered mappers.
+        mapper = get_mapper(request.method)
+        sim_config = request.sim_config or self.sim_config or SimulatorConfig()
         factory = self.factory(request.capacity, request.levels, request.reuse)
 
-        # Attribute only the refinements this mapper run causes: records
-        # already pending (from refinements outside the pipeline) are popped
-        # along with ours — take-channel semantics — but excluded from the
-        # pipeline's counters.  The monotonic run counter makes the slice
-        # exact even if the bounded pending list truncated meanwhile.
-        runs_before = refine_run_count()
+        # Attribute only the refinements this mapper run causes: drop the
+        # records already pending (refinements outside the pipeline), then
+        # count everything pending once the placement returns.
+        take_refine_stats()
         map_started = time.perf_counter()
         outcome = mapper.place(factory, seed=request.seed, context=request.context())
         self.stats.map_seconds += time.perf_counter() - map_started
-        new_runs = refine_run_count() - runs_before
-        taken = take_refine_stats()
-        for refine in taken[max(0, len(taken) - new_runs) :] if new_runs else []:
+        for refine in take_refine_stats():
             self.stats.fd_sweeps += refine.sweeps
             self.stats.fd_moves_accepted += refine.accepted_moves
 
         if isinstance(outcome, StitchedMapping):
             hop_config = replace(sim_config, hops=outcome.hops)
-            return outcome.factory.circuit, outcome.placement, hop_config
-        return factory.circuit, outcome, sim_config
+            return sim_config, outcome.factory.circuit, outcome.placement, hop_config
+        return sim_config, factory.circuit, outcome, sim_config
 
     def _result_point(
         self, request: EvaluationRequest, sim_config, placement, sim_result
@@ -371,38 +342,13 @@ class Pipeline:
 
     def evaluate(self, request: EvaluationRequest) -> FactoryEvaluation:
         """Run one request end to end and return its data point."""
-        # Resolve the mapper first: an unknown name should fail before any
-        # factory is built, with a message listing the registered mappers.
-        mapper = get_mapper(request.method)
-        sim_config = request.sim_config or self.sim_config or SimulatorConfig()
-
-        # Probe the persistent store before any build or simulation work,
-        # keyed on the request with its effective simulator config made
-        # explicit (see EvaluationRequest.with_effective_sim_config).
-        if self.store is not None:
-            storage_request = request.with_effective_sim_config(self.sim_config)
-            stored = self.store.get(storage_request)
-            if stored is not None:
-                self.stats.store_hits += 1
-                return stored
-
-        evaluation_started = time.perf_counter()
-        circuit, placement, point_config = self._map_request(
-            mapper, request, sim_config
-        )
+        sim_config, circuit, placement, point_config = self._map_request(request)
         hits_before = self.sim_cache.hits
         sim_started = time.perf_counter()
         sim_result = self.sim_cache.simulate(circuit, placement, point_config)
         self.stats.sim_seconds += time.perf_counter() - sim_started
         self.stats.sim_cache_hits += self.sim_cache.hits - hits_before
-        result = self._result_point(request, sim_config, placement, sim_result)
-        if self.store is not None:
-            self.store.try_put(
-                storage_request,
-                result,
-                wall_seconds=time.perf_counter() - evaluation_started,
-            )
-        return result
+        return self._result_point(request, sim_config, placement, sim_result)
 
     def evaluate_batch(
         self, requests: Sequence[EvaluationRequest]
@@ -410,12 +356,11 @@ class Pipeline:
         """Evaluate many requests, batching the cache-missing simulations.
 
         Semantically identical to ``[self.evaluate(r) for r in requests]``
-        — same results, same store/cache accounting — but the simulations
-        not answered by the :class:`~repro.api.store.ResultStore` or the
-        :class:`~repro.routing.simulator.SimulationCache` are executed in
-        one :func:`~repro.routing.batchsim.simulate_batch` call, which
-        groups same-circuit points and shares their preparation (compiled
-        kernel when available, per-point ``simulate`` otherwise).
+        — same results, same cache accounting — but the simulations not
+        answered by the :class:`~repro.routing.simulator.SimulationCache`
+        are executed in one :func:`~repro.routing.batchsim.simulate_batch`
+        call, which groups same-circuit points and shares their preparation
+        (compiled kernel when available, per-point ``simulate`` otherwise).
         """
         # Imported lazily, like the other analysis/routing consumers above.
         from ..routing.batchsim import simulate_batch
@@ -425,102 +370,49 @@ class Pipeline:
         results: List[Optional[FactoryEvaluation]] = [None] * len(requests)
         points: List[tuple] = []  # unique cache-missing (circuit, placement, config)
         point_of_key: Dict[tuple, int] = {}
-        # Deferred finishing context per request: (position, storage_request,
-        # sim_config, placement, point, started, point_index).
+        # Deferred finishing context per request:
+        # (position, sim_config, placement, point_index, first).
         deferred: List[tuple] = []
 
         for position, request in enumerate(requests):
-            mapper = get_mapper(request.method)
-            sim_config = request.sim_config or self.sim_config or SimulatorConfig()
-            storage_request = None
-            if self.store is not None:
-                storage_request = request.with_effective_sim_config(self.sim_config)
-                stored = self.store.get(storage_request)
-                if stored is not None:
-                    self.stats.store_hits += 1
-                    results[position] = stored
-                    continue
-            started = time.perf_counter()
-            circuit, placement, point_config = self._map_request(
-                mapper, request, sim_config
-            )
-            point = (circuit, placement, point_config)
+            sim_config, circuit, placement, point_config = self._map_request(request)
             key = simulation_cache_key(circuit, placement, point_config)
-            cached = (
-                self.sim_cache.lookup(circuit, placement, point_config)
-                if key not in point_of_key
-                else None
-            )
-            if cached is not None:
-                self.stats.sim_cache_hits += 1
-                result = self._result_point(request, sim_config, placement, cached)
-                results[position] = result
-                if self.store is not None:
-                    self.store.try_put(
-                        storage_request,
-                        result,
-                        wall_seconds=time.perf_counter() - started,
-                    )
-                continue
             point_index = point_of_key.get(key)
             first = point_index is None
             if first:
+                cached = self.sim_cache.lookup(circuit, placement, point_config)
+                if cached is not None:
+                    self.stats.sim_cache_hits += 1
+                    results[position] = self._result_point(
+                        request, sim_config, placement, cached
+                    )
+                    continue
                 point_index = len(points)
                 point_of_key[key] = point_index
-                points.append(point)
-            deferred.append(
-                (
-                    position,
-                    storage_request,
-                    sim_config,
-                    placement,
-                    point,
-                    started,
-                    point_index,
-                    first,
-                )
-            )
+                points.append((circuit, placement, point_config))
+            deferred.append((position, sim_config, placement, point_index, first))
 
         if not deferred:
             return results  # type: ignore[return-value]
 
-        batch_started = time.perf_counter()
+        sim_started = time.perf_counter()
         batch_results = simulate_batch(points)
-        batch_seconds = time.perf_counter() - batch_started
-        self.stats.sim_seconds += batch_seconds
-        batch_share = batch_seconds / len(points)
+        self.stats.sim_seconds += time.perf_counter() - sim_started
 
-        for (
-            position,
-            storage_request,
-            sim_config,
-            placement,
-            point,
-            started,
-            point_index,
-            first,
-        ) in deferred:
+        for position, sim_config, placement, point_index, first in deferred:
             sim_result = batch_results[point_index]
             if first:
                 # First occurrence of this simulation point: insert the
                 # batched result into the cache (booked as the miss an
                 # unbatched run would have taken).
-                self.sim_cache.store_result(
-                    point[0], point[1], point[2], sim_result
-                )
+                self.sim_cache.store_result(*points[point_index], sim_result)
             else:
                 # A later duplicate of an earlier point in this batch: an
                 # unbatched run answers it from the cache, and so does this
                 # one (the first occurrence was inserted above).
-                self.sim_cache.lookup(point[0], point[1], point[2])
+                self.sim_cache.lookup(*points[point_index])
                 self.stats.sim_cache_hits += 1
-            request = requests[position]
-            result = self._result_point(request, sim_config, placement, sim_result)
-            results[position] = result
-            if self.store is not None:
-                self.store.try_put(
-                    storage_request,
-                    result,
-                    wall_seconds=(time.perf_counter() - started) + batch_share,
-                )
+            results[position] = self._result_point(
+                requests[position], sim_config, placement, sim_result
+            )
         return results  # type: ignore[return-value]

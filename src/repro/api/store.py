@@ -506,10 +506,11 @@ class ResultStore:
     ) -> Optional[str]:
         """:meth:`put`, degrading write failures to a warning.
 
-        The pipeline and executor treat the store as a pure optimization:
-        a full disk or permission error must cost the *persistence* of a
-        result, never the sweep that computed it.  Returns the fingerprint,
-        or ``None`` when the write failed.
+        :class:`~repro.api.executor.SweepExecutor`, the store's only writer
+        on the evaluation path, treats it as a pure optimization: a full
+        disk or permission error must cost the *persistence* of a result,
+        never the sweep that computed it.  Returns the fingerprint, or
+        ``None`` when the write failed.
         """
         try:
             return self.put(request, evaluation, wall_seconds)

@@ -315,6 +315,47 @@ def _auto_bucket_size(
     return max(2.0, total_span / (4.0 * len(ends)))
 
 
+def _crossing_walk(
+    edges: Sequence[Tuple[int, int, Position, Position]], bucket_size: float
+) -> Tuple[int, _SegmentGrid, List[List[Tuple[int, int]]]]:
+    """Count every crossing pair of ``edges`` through a fresh bucket grid.
+
+    Returns ``(crossings, grid, cells)``: the grid holds every edge, and
+    ``cells[i]`` are the buckets edge ``i`` is registered in.  This is the
+    one initial crossing walk, shared by :func:`count_edge_crossings` and
+    the scalar tracker engine's set-up.
+    """
+    grid = _SegmentGrid(bucket_size)
+    cells_of: List[List[Tuple[int, int]]] = []
+    crossings = 0
+    for index, (a, b, pa, pb) in enumerate(edges):
+        cells = grid.cells(pa, pb)
+        # Bounding box with a margin matching the collinearity tolerance of
+        # ``_on_segment``, for the cheap rejection below.
+        row_lo, row_hi = min(pa[0], pb[0]) - 1e-12, max(pa[0], pb[0]) + 1e-12
+        col_lo, col_hi = min(pa[1], pb[1]) - 1e-12, max(pa[1], pb[1]) + 1e-12
+        for other in grid.candidates(cells):
+            c, d, pc, pd = edges[other]
+            if a == c or a == d or b == c or b == d:
+                continue
+            # Cheap bounding-box rejection before the orientation tests:
+            # sharing a bucket does not imply overlapping boxes.
+            if (
+                max(pc[0], pd[0]) < row_lo
+                or min(pc[0], pd[0]) > row_hi
+                or max(pc[1], pd[1]) < col_lo
+                or min(pc[1], pd[1]) > col_hi
+            ):
+                continue
+            if _segments_cross(pa, pb, pc, pd):
+                crossings += 1
+        # Insert after querying: each unordered pair is tested exactly once,
+        # when the later of the two edges is the query.
+        grid.insert(index, cells)
+        cells_of.append(cells)
+    return crossings, grid, cells_of
+
+
 def count_edge_crossings(
     graph: nx.Graph, positions: PositionMap, bucket_size: Optional[float] = None
 ) -> int:
@@ -333,32 +374,7 @@ def count_edge_crossings(
         return 0
     if bucket_size is None:
         bucket_size = _auto_bucket_size(edges)
-    grid = _SegmentGrid(bucket_size)
-    crossings = 0
-    for index, (a, b, pa, pb) in enumerate(edges):
-        cells = grid.cells(pa, pb)
-        row_lo, row_hi = min(pa[0], pb[0]), max(pa[0], pb[0])
-        col_lo, col_hi = min(pa[1], pb[1]), max(pa[1], pb[1])
-        for other in grid.candidates(cells):
-            c, d, pc, pd = edges[other]
-            if a == c or a == d or b == c or b == d:
-                continue
-            # Cheap bounding-box rejection before the orientation tests:
-            # sharing a bucket does not imply overlapping boxes.  The margin
-            # matches the collinearity tolerance of ``_on_segment``.
-            if (
-                max(pc[0], pd[0]) < row_lo - 1e-12
-                or min(pc[0], pd[0]) > row_hi + 1e-12
-                or max(pc[1], pd[1]) < col_lo - 1e-12
-                or min(pc[1], pd[1]) > col_hi + 1e-12
-            ):
-                continue
-            if _segments_cross(pa, pb, pc, pd):
-                crossings += 1
-        # Insert after querying: each unordered pair is tested exactly once,
-        # when the later of the two edges is the query.
-        grid.insert(index, cells)
-    return crossings
+    return _crossing_walk(edges, bucket_size)[0]
 
 
 def count_edge_crossings_reference(graph: nx.Graph, positions: PositionMap) -> int:
@@ -546,18 +562,10 @@ class _ScalarTrackerEngine:
         m = len(ends)
         self._m = m
         self._pad = _pow2_pad(m)
-        self._grid = _SegmentGrid(bucket_size)
-        self._cells: List[List[Tuple[int, int]]] = []
-        self.crossings = 0
-        for index, (p, q) in enumerate(self._seg):
-            cells = self._grid.cells(p, q)
-            # Insert after querying: each unordered pair counted once.
-            self.crossings += self._count_against(
-                p, q, self._eu[index], self._ev[index],
-                self._grid.candidates(cells), frozenset(),
-            )
-            self._grid.insert(index, cells)
-            self._cells.append(cells)
+        self.crossings, self._grid, self._cells = _crossing_walk(
+            [(a, b, p, q) for a, b, (p, q) in zip(self._eu, self._ev, self._seg)],
+            bucket_size,
+        )
         self._R: List[float] = []
         for i in range(m):
             row, col = self._mid[i]

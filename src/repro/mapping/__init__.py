@@ -6,7 +6,6 @@ from .force_directed import (
     assign_dipole_poles,
     force_directed_placement,
     force_directed_refine,
-    refine_run_count,
     take_refine_stats,
 )
 from .graph_partition import GridRegion, graph_partition_placement
@@ -39,7 +38,6 @@ __all__ = [
     "assign_dipole_poles",
     "force_directed_placement",
     "force_directed_refine",
-    "refine_run_count",
     "take_refine_stats",
     "GridRegion",
     "graph_partition_placement",

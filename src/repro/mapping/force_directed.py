@@ -331,30 +331,12 @@ _PENDING_REFINE_STATS: List[RefineStats] = []
 #: runs one refinement per module, well under this bound).
 _MAX_PENDING_REFINE_STATS = 64
 
-#: Monotonic count of completed refine runs in this process.  Unlike the
-#: bounded pending list, this never truncates, so consumers can bracket an
-#: operation with :func:`refine_run_count` and attribute exactly the runs
-#: it caused whatever else is pending.
-_REFINE_RUN_COUNTER = 0
-
 
 def take_refine_stats() -> List[RefineStats]:
     """Pop the stats of every :func:`force_directed_refine` run since the last call."""
     stats = list(_PENDING_REFINE_STATS)
     _PENDING_REFINE_STATS.clear()
     return stats
-
-
-def refine_run_count() -> int:
-    """Monotonic number of refine runs completed in this process.
-
-    Lets a consumer bracket an operation and attribute only the runs it
-    caused: snapshot the count before, and take the trailing ``after -
-    before`` records of what :func:`take_refine_stats` returns.  Robust
-    against records already pending and against the pending-list bound
-    evicting old entries mid-operation.
-    """
-    return _REFINE_RUN_COUNTER
 
 
 def _next_stall_counter(stall: int, new_best: bool, improved_any: bool) -> int:
@@ -499,8 +481,6 @@ def force_directed_refine(
             stall_counter = 0
 
     stats.best_cost = best_cost
-    global _REFINE_RUN_COUNTER
-    _REFINE_RUN_COUNTER += 1
     _PENDING_REFINE_STATS.append(stats)
     del _PENDING_REFINE_STATS[:-_MAX_PENDING_REFINE_STATS]
     return best

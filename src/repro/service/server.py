@@ -26,9 +26,11 @@ Endpoints (all JSON)::
     GET  /healthz       liveness probe
 
 Built on :class:`http.server.ThreadingHTTPServer` — no new runtime
-dependencies — with one thread per connection; CPU-bound evaluation is
-serialized through a pipeline lock (the GIL would anyway), while sweep
-jobs run on the :class:`~repro.service.jobs.JobManager` worker and fan out
+dependencies — with one thread per connection.  ``/v1/evaluate`` runs
+each request as a one-point resumed sweep on a long-lived
+:class:`~repro.api.executor.SweepExecutor`, the only reader and writer of
+the store, serialized through one lock (the GIL would anyway); sweep jobs
+run on the :class:`~repro.service.jobs.JobManager` worker and fan out
 across processes via ``--workers``.
 """
 
@@ -43,7 +45,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..api.pipeline import Pipeline
+from ..api.executor import ExecutorStats, SweepExecutor
 from ..api.store import DEFAULT_STORE_ROOT, ResultStore, as_result_store
 from ..routing.simulator import SimulatorConfig
 from .jobs import JobManager
@@ -155,7 +157,7 @@ def _etag_matches(header: Optional[str], fingerprint: str) -> bool:
 
 
 class SweepService:
-    """The service core: store, pipeline, job queue, coalescing, counters.
+    """The service core: store, executor, job queue, coalescing, counters.
 
     Pure domain logic — no HTTP types — so tests can drive it directly and
     the handler stays a thin (de)serialization shell.
@@ -173,12 +175,18 @@ class SweepService:
         assert resolved is not None
         self.store = resolved
         self.workers = workers
-        self.pipeline = Pipeline(sim_config=sim_config, store=self.store)
+        # /v1/evaluate: one-point resumed sweeps on one long-lived executor,
+        # so its pipeline's factory and simulation caches persist across
+        # requests.  ``evaluate_stats`` folds every run's accounting.
+        self.executor = SweepExecutor(
+            sim_config=sim_config, store=self.store, resume=True
+        )
+        self.evaluate_stats = ExecutorStats()
         self.jobs = JobManager(self.store, workers=workers, sim_config=sim_config)
         self.counters = ServiceCounters()
         self.started_unix = time.time()
-        # The pipeline mutates shared caches/stats; one evaluation at a time.
-        self._pipeline_lock = threading.Lock()
+        # The executor mutates shared caches/stats; one evaluation at a time.
+        self._executor_lock = threading.Lock()
         self._flight_lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
 
@@ -206,7 +214,7 @@ class SweepService:
         """Validate, revalidate (ETag), coalesce, and evaluate one request."""
         request = decode_evaluation_request(data)
         validate_mapper_name(request.method)
-        storage = request.with_effective_sim_config(self.pipeline.sim_config)
+        storage = request.with_effective_sim_config(self.executor.sim_config)
         fingerprint = self.store.fingerprint(storage)
 
         # ETag fast path: a fingerprint match proves the client's cached
@@ -236,12 +244,11 @@ class SweepService:
             )
 
         try:
-            with self._pipeline_lock:
-                store_hits_before = self.pipeline.stats.store_hits
-                evaluation = self.pipeline.evaluate(request)
-                from_store = self.pipeline.stats.store_hits > store_hits_before
-            flight.payload = evaluation.to_dict()
-            flight.source = "store" if from_store else "evaluated"
+            with self._executor_lock:
+                result = self.executor.run([request])
+                self.evaluate_stats.fold(result.stats)
+            flight.payload = result.evaluations[0].to_dict()
+            flight.source = "store" if result.stats.store_hits else "evaluated"
         except BaseException as error:
             flight.error = error
             raise
@@ -292,7 +299,6 @@ class SweepService:
     # GET /v1/status
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        pipeline_stats = self.pipeline.stats
         payload = {
             "service": SERVICE_VERSION,
             "uptime_seconds": round(time.time() - self.started_unix, 3),
@@ -300,8 +306,8 @@ class SweepService:
             "store": self.store.status(),
             "store_counters": self.store.counters(),
             "evaluate": {
-                "evaluations": pipeline_stats.evaluations,
-                "store_hits": pipeline_stats.store_hits,
+                "evaluations": self.evaluate_stats.evaluations,
+                "store_hits": self.evaluate_stats.store_hits,
             },
             "server": self.counters.to_dict(),
         }

@@ -149,7 +149,7 @@ class TestEvaluate:
         assert warm.source == "store"
         assert warm.payload == cold.payload
         assert warm.fingerprint == cold.fingerprint
-        assert service.pipeline.stats.evaluations == 1
+        assert service.status()["evaluate"]["evaluations"] == 1
 
     def test_etag_revalidation_reads_nothing(self, service):
         data = a_request().to_dict()
@@ -159,9 +159,9 @@ class TestEvaluate:
         assert outcome.not_modified
         assert outcome.payload is None
         assert outcome.fingerprint == cold.fingerprint
-        # The 304 path touches neither the store nor the pipeline.
+        # The 304 path touches neither the store nor the executor.
         assert service.store.counters() == before
-        assert service.pipeline.stats.evaluations == 1
+        assert service.status()["evaluate"]["evaluations"] == 1
         assert service.counters.not_modified == 1
 
     def test_etag_header_forms(self, service):
@@ -200,7 +200,7 @@ class TestEvaluate:
         # Exactly one evaluation happened; everyone else rode along
         # (coalesced into the flight, or — if they arrived a beat late —
         # answered from the store the leader just populated).
-        assert service.pipeline.stats.evaluations == 1
+        assert service.status()["evaluate"]["evaluations"] == 1
         assert sources.count("evaluated") == 1
         assert all(source in ("evaluated", "coalesced", "store") for source in sources)
         assert sources.count("coalesced") == service.counters.coalesced_hits
@@ -219,6 +219,18 @@ class TestEvaluate:
         with pytest.raises(WireFormatError) as excinfo:
             service.evaluate({"method": "linear"})
         assert excinfo.value.field == "capacity"
+
+    def test_status_evaluate_block_counts_only_evaluate_runs(self, service):
+        data = a_request().to_dict()
+        assert service.evaluate(data).source == "evaluated"
+        assert service.evaluate(data).source == "store"
+        expected = {"evaluations": 1, "store_hits": 1}
+        assert service.status()["evaluate"] == expected
+        # A completed sweep job runs on the job queue's own executor.
+        job = service.submit_sweep(small_plan().to_dict())
+        assert service.jobs.wait_idle(timeout=90)
+        assert service.job_status(job["job_id"])["state"] == "completed"
+        assert service.status()["evaluate"] == expected
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +398,8 @@ class TestHttpSweeps:
         assert view["submissions"] == 2
         # One job ran; the plan's evaluations happened exactly once.
         assert view["stats"]["evaluations"] == len(plan)
-        assert service.pipeline.stats.evaluations == 0  # jobs bypass it
+        # Jobs run on their own executor: the evaluate block is untouched.
+        assert service.status()["evaluate"] == {"evaluations": 0, "store_hits": 0}
         assert len(service.store) == len(plan)
 
     def test_sharded_posts_cover_the_plan_under_distinct_job_ids(

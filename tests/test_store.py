@@ -29,8 +29,10 @@ from repro.api import (
     ResultStoreWarning,
     SweepExecutor,
     SweepPlan,
+    RegistryError,
     register_mapper,
     request_fingerprint,
+    run_sweep,
     unregister_mapper,
 )
 from repro.api.store import STORE_SCHEMA_VERSION, store_metadata
@@ -196,20 +198,19 @@ class TestStoreCorruption:
             assert store.get(request) is None
 
     def test_corrupt_entry_is_recomputed_through_pipeline(self, tmp_path):
-        """A pipeline with a corrupt store recomputes and heals the entry."""
+        """A resumed run over a corrupt entry recomputes and heals it."""
         store = ResultStore(tmp_path / "store")
         request = a_request()
-        reference = Pipeline(store=store).evaluate(request)
-        [(path, _)] = list(store.entries())  # the entry the pipeline wrote
+        [reference] = run_sweep([request], store=store, resume=True).evaluations
+        [(path, _)] = list(store.entries())  # the entry the run wrote
         path.write_text("{ truncated")
-        pipeline = Pipeline(store=store)
         with pytest.warns(ResultStoreWarning):
-            recomputed = pipeline.evaluate(request)
-        assert recomputed == reference
-        assert pipeline.stats.store_hits == 0
+            recomputed = run_sweep([request], store=store, resume=True)
+        assert recomputed.evaluations == [reference]
+        assert recomputed.stats.store_hits == 0
         # The put after recomputation repaired the entry.
-        healed = Pipeline(store=store)
-        assert healed.evaluate(request) == reference
+        healed = run_sweep([request], store=store, resume=True)
+        assert healed.evaluations == [reference]
         assert healed.stats.store_hits == 1
 
     def test_status_counts_corrupt_entries(self, tmp_path):
@@ -322,22 +323,20 @@ class TestSchemaBump:
 
 
 # ----------------------------------------------------------------------
-# Pipeline integration
+# One-request runs: the executor is the only store reader and writer
 # ----------------------------------------------------------------------
 class TestPipelineStore:
     def test_pipeline_probes_store_before_building(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         request = a_request()
-        warm = Pipeline(store=store)
-        reference = warm.evaluate(request)
+        warm = run_sweep([request], store=store, resume=True)
         assert warm.stats.store_hits == 0
         assert store.puts == 1
 
-        # A completely fresh pipeline answers from the store: no factory
+        # A completely fresh executor answers from the store: no factory
         # build, no simulation, exact store_hits accounting.
-        cold = Pipeline(store=store)
-        result = cold.evaluate(request)
-        assert result == reference
+        cold = run_sweep([request], store=store, resume=True)
+        assert cold.evaluations == warm.evaluations
         assert cold.stats.store_hits == 1
         assert cold.stats.factory_builds == 0
         assert cold.stats.evaluations == 0
@@ -347,20 +346,30 @@ class TestPipelineStore:
         store = ResultStore(tmp_path / "store")
         request = a_request(method="graph_partition", capacity=3)
         reference = Pipeline().evaluate(request)
-        Pipeline(store=store).evaluate(request)
-        stored = Pipeline(store=store).evaluate(request)
-        assert json.dumps(stored.to_dict(), sort_keys=True) == json.dumps(
-            reference.to_dict(), sort_keys=True
+        run_sweep([request], store=store, resume=True)
+        stored = run_sweep([request], store=store, resume=True)
+        assert stored.stats.store_hits == 1
+        assert json.dumps(stored.evaluations[0].to_dict(), sort_keys=True) == (
+            json.dumps(reference.to_dict(), sort_keys=True)
         )
 
     def test_unknown_mapper_fails_before_store_probe(self, tmp_path):
-        from repro.api import RegistryError
-
         store = ResultStore(tmp_path / "store")
-        pipeline = Pipeline(store=store)
         with pytest.raises(RegistryError):
-            pipeline.evaluate(a_request(method="no-such-mapper"))
+            run_sweep([a_request(method="no-such-mapper")], store=store, resume=True)
         assert store.hits == store.misses == 0
+
+    def test_unknown_mapper_anywhere_in_plan_fails_before_any_store_io(
+        self, tmp_path
+    ):
+        """A valid point ahead of the unknown one is neither probed,
+        evaluated nor persisted: every mapper resolves before the store."""
+        store = ResultStore(tmp_path / "store")
+        plan = [a_request(), a_request(method="no-such")]
+        with pytest.raises(RegistryError):
+            run_sweep(plan, store=store, resume=True)
+        assert store.misses == store.puts == 0
+        assert len(store) == 0
 
 
 # ----------------------------------------------------------------------
@@ -575,13 +584,16 @@ class TestExecutorResume:
         store = ResultStore(tmp_path / "store")
         request = a_request()
         config = SimulatorConfig(max_candidates=1)
-        Pipeline(sim_config=config, store=store).evaluate(request)
-        other = Pipeline(sim_config=SimulatorConfig(max_candidates=8), store=store)
-        other.evaluate(request)
+        run_sweep([request], sim_config=config, store=store, resume=True)
+        other = run_sweep(
+            [request],
+            sim_config=SimulatorConfig(max_candidates=8),
+            store=store,
+            resume=True,
+        )
         assert other.stats.store_hits == 0
-        # The default-config pipeline likewise gets its own entry.
-        default = Pipeline(store=store)
-        default.evaluate(request)
+        # The default-config run likewise gets its own entry.
+        default = run_sweep([request], store=store, resume=True)
         assert default.stats.store_hits == 0
         assert len(store) == 3
 
