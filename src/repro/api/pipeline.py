@@ -356,63 +356,23 @@ class Pipeline:
         """Evaluate many requests, batching the cache-missing simulations.
 
         Semantically identical to ``[self.evaluate(r) for r in requests]``
-        — same results, same cache accounting — but the simulations not
-        answered by the :class:`~repro.routing.simulator.SimulationCache`
-        are executed in one :func:`~repro.routing.batchsim.simulate_batch`
-        call, which groups same-circuit points and shares their preparation
-        (compiled kernel when available, per-point ``simulate`` otherwise).
+        — same results, same cache accounting — but every simulation goes
+        through one :meth:`~repro.routing.simulator.SimulationCache.simulate_many`
+        call, which runs the cache misses through
+        :func:`~repro.routing.batchsim.simulate_batch`.
         """
-        # Imported lazily, like the other analysis/routing consumers above.
-        from ..routing.batchsim import simulate_batch
-        from ..routing.simulator import simulation_cache_key
-
         requests = list(requests)
-        results: List[Optional[FactoryEvaluation]] = [None] * len(requests)
-        points: List[tuple] = []  # unique cache-missing (circuit, placement, config)
-        point_of_key: Dict[tuple, int] = {}
-        # Deferred finishing context per request:
-        # (position, sim_config, placement, point_index, first).
-        deferred: List[tuple] = []
-
-        for position, request in enumerate(requests):
-            sim_config, circuit, placement, point_config = self._map_request(request)
-            key = simulation_cache_key(circuit, placement, point_config)
-            point_index = point_of_key.get(key)
-            first = point_index is None
-            if first:
-                cached = self.sim_cache.lookup(circuit, placement, point_config)
-                if cached is not None:
-                    self.stats.sim_cache_hits += 1
-                    results[position] = self._result_point(
-                        request, sim_config, placement, cached
-                    )
-                    continue
-                point_index = len(points)
-                point_of_key[key] = point_index
-                points.append((circuit, placement, point_config))
-            deferred.append((position, sim_config, placement, point_index, first))
-
-        if not deferred:
-            return results  # type: ignore[return-value]
-
+        mapped = [self._map_request(request) for request in requests]
+        hits_before = self.sim_cache.hits
         sim_started = time.perf_counter()
-        batch_results = simulate_batch(points)
+        sim_results = self.sim_cache.simulate_many(
+            [(circuit, placement, point_config)
+             for _, circuit, placement, point_config in mapped]
+        )
         self.stats.sim_seconds += time.perf_counter() - sim_started
-
-        for position, sim_config, placement, point_index, first in deferred:
-            sim_result = batch_results[point_index]
-            if first:
-                # First occurrence of this simulation point: insert the
-                # batched result into the cache (booked as the miss an
-                # unbatched run would have taken).
-                self.sim_cache.store_result(*points[point_index], sim_result)
-            else:
-                # A later duplicate of an earlier point in this batch: an
-                # unbatched run answers it from the cache, and so does this
-                # one (the first occurrence was inserted above).
-                self.sim_cache.lookup(*points[point_index])
-                self.stats.sim_cache_hits += 1
-            results[position] = self._result_point(
-                requests[position], sim_config, placement, sim_result
-            )
-        return results  # type: ignore[return-value]
+        self.stats.sim_cache_hits += self.sim_cache.hits - hits_before
+        return [
+            self._result_point(request, sim_config, placement, sim_result)
+            for request, (sim_config, _, placement, _), sim_result
+            in zip(requests, mapped, sim_results)
+        ]

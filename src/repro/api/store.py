@@ -386,39 +386,47 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _read_payload(
-        self, path: Path, count_corrupt: bool = True
-    ) -> Optional[Dict[str, Any]]:
-        """Parse one payload file; corrupt files are warnings, not crashes.
+    @staticmethod
+    def _parse_payload(path: Path) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+        """``(payload, problem)`` of one payload file; never raises.
 
-        ``count_corrupt=False`` keeps maintenance scans (``status``/``gc``
-        iterating every entry) from inflating the ``corrupt_skipped``
-        counter, which counts skips on the *lookup* path only.
+        ``payload`` is ``None`` for a missing or corrupt file, and
+        ``problem`` says what is wrong with a corrupt one.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
-            return None
+            return None, None
         except (OSError, ValueError, UnicodeDecodeError) as error:
-            if count_corrupt:
-                self.corrupt_skipped += 1
-            warnings.warn(
-                f"result store: skipping unreadable entry {path} ({error})",
-                ResultStoreWarning,
-                stacklevel=3,
-            )
-            return None
+            return None, f"skipping unreadable entry {path} ({error})"
         if not isinstance(payload, dict):
-            if count_corrupt:
-                self.corrupt_skipped += 1
-            warnings.warn(
-                f"result store: skipping non-object entry {path}",
-                ResultStoreWarning,
-                stacklevel=3,
+            return None, f"skipping non-object entry {path}"
+        return payload, None
+
+    def _read(
+        self, request: EvaluationRequest
+    ) -> Tuple[Optional[FactoryEvaluation], Optional[str]]:
+        """``(result, problem)`` for ``request``: moves no counter, never warns."""
+        fingerprint = self.fingerprint(request)
+        payload, problem = self._parse_payload(self.path_for(fingerprint))
+        if payload is None:
+            return None, problem
+        if (
+            payload.get("schema_version") != self.schema_version
+            or payload.get("fingerprint") != fingerprint
+        ):
+            return None, (
+                f"entry {fingerprint} is mislabelled "
+                f"(schema_version={payload.get('schema_version')!r}); skipping"
             )
-            return None
-        return payload
+        try:
+            return FactoryEvaluation.from_dict(payload["result"]), None
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            return None, (
+                f"entry {fingerprint} has an undecodable result ({error}); "
+                f"skipping"
+            )
 
     def get(self, request: EvaluationRequest) -> Optional[FactoryEvaluation]:
         """The stored evaluation of ``request``, or ``None`` (a miss).
@@ -428,47 +436,25 @@ class ResultStore:
         JSON, foreign-schema leftovers — are treated as misses with a
         :class:`ResultStoreWarning`, never as crashes or wrong answers.
         """
-        fingerprint = self.fingerprint(request)
-        payload = self._read_payload(self.path_for(fingerprint))
-        if payload is None:
-            self.misses += 1
-            return None
-        if (
-            payload.get("schema_version") != self.schema_version
-            or payload.get("fingerprint") != fingerprint
-        ):
+        result, problem = self._read(request)
+        if problem is not None:
             self.corrupt_skipped += 1
             warnings.warn(
-                f"result store: entry {fingerprint} is mislabelled "
-                f"(schema_version={payload.get('schema_version')!r}); skipping",
-                ResultStoreWarning,
-                stacklevel=2,
+                f"result store: {problem}", ResultStoreWarning, stacklevel=2
             )
+        if result is None:
             self.misses += 1
-            return None
-        try:
-            result = FactoryEvaluation.from_dict(payload["result"])
-        except (AttributeError, KeyError, TypeError, ValueError) as error:
-            self.corrupt_skipped += 1
-            warnings.warn(
-                f"result store: entry {fingerprint} has an undecodable "
-                f"result ({error}); skipping",
-                ResultStoreWarning,
-                stacklevel=2,
-            )
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
+
+    def peek(self, request: EvaluationRequest) -> Optional[FactoryEvaluation]:
+        """:meth:`get` for reports: moves no counter and warns about nothing."""
+        return self._read(request)[0]
 
     def contains(self, request: EvaluationRequest) -> bool:
         """Whether a readable, correctly labelled entry exists (no counters)."""
-        hits, misses, corrupt = self.hits, self.misses, self.corrupt_skipped
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResultStoreWarning)
-            found = self.get(request)
-        self.hits, self.misses, self.corrupt_skipped = hits, misses, corrupt
-        return found is not None
+        return self.peek(request) is not None
 
     # ------------------------------------------------------------------
     # Write path
@@ -549,10 +535,11 @@ class ResultStore:
         """Every entry path with its parsed payload (``None`` if corrupt).
 
         A maintenance scan, not a lookup: corrupt entries are reported in
-        the yielded pairs without touching the ``corrupt_skipped`` counter.
+        the yielded pairs, without a warning and without touching the
+        ``corrupt_skipped`` counter.
         """
         for path in self._entry_paths():
-            yield path, self._read_payload(path, count_corrupt=False)
+            yield path, self._parse_payload(path)[0]
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
@@ -591,24 +578,22 @@ class ResultStore:
         )
         oldest: Optional[float] = None
         newest: Optional[float] = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResultStoreWarning)
-            for path, payload in self.entries():
-                record.entries += 1
-                try:
-                    record.total_bytes += path.stat().st_size
-                except OSError:  # pragma: no cover - raced with deletion
-                    pass
-                if payload is None:
-                    record.corrupt += 1
-                    continue
-                if payload.get("schema_version") != self.schema_version:
-                    record.stale_schema += 1
-                created = (payload.get("meta") or {}).get("created_unix")
-                if isinstance(created, (int, float)):
-                    created = float(created)
-                    oldest = created if oldest is None else min(oldest, created)
-                    newest = created if newest is None else max(newest, created)
+        for path, payload in self.entries():
+            record.entries += 1
+            try:
+                record.total_bytes += path.stat().st_size
+            except OSError:  # pragma: no cover - raced with deletion
+                pass
+            if payload is None:
+                record.corrupt += 1
+                continue
+            if payload.get("schema_version") != self.schema_version:
+                record.stale_schema += 1
+            created = (payload.get("meta") or {}).get("created_unix")
+            if isinstance(created, (int, float)):
+                created = float(created)
+                oldest = created if oldest is None else min(oldest, created)
+                newest = created if newest is None else max(newest, created)
 
         def _utc(stamp: Optional[float]) -> Optional[str]:
             if stamp is None:
@@ -646,18 +631,16 @@ class ResultStore:
         reference = time.time() if now is None else now
         horizon = keep_days * 86400.0
         report = GcReport(dry_run=dry_run)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResultStoreWarning)
-            for path, payload in self.entries():
-                if self._entry_age_seconds(path, payload, reference) > horizon:
-                    report.removed.append(path.stem)
-                    if not dry_run:
-                        try:
-                            path.unlink()
-                        except OSError:  # pragma: no cover - concurrent gc
-                            pass
-                else:
-                    report.kept += 1
+        for path, payload in self.entries():
+            if self._entry_age_seconds(path, payload, reference) > horizon:
+                report.removed.append(path.stem)
+                if not dry_run:
+                    try:
+                        path.unlink()
+                    except OSError:  # pragma: no cover - concurrent gc
+                        pass
+            else:
+                report.kept += 1
         return report
 
     # ------------------------------------------------------------------
@@ -743,13 +726,9 @@ class ResultStore:
                     source_report.stale_schema += 1
                     continue
                 destination = self.path_for(fingerprint)
-                with warnings.catch_warnings():
-                    # A corrupt destination entry is healed by the copy
-                    # below; warning about reading it would be noise.
-                    warnings.simplefilter("ignore", ResultStoreWarning)
-                    existing = self._read_payload(
-                        destination, count_corrupt=False
-                    )
+                # A corrupt destination entry is healed by the copy below;
+                # warning about reading it would be noise.
+                existing, _ = self._parse_payload(destination)
                 if existing is not None and (
                     existing.get("fingerprint") != fingerprint
                     or existing.get("schema_version") != self.schema_version

@@ -40,12 +40,12 @@ construction, just not batched.
 
 Engine selection
 ----------------
-``simulate_batch`` runs the compiled kernel when it loads; otherwise it
-simulates each request with the per-point
-:func:`~repro.routing.simulator.simulate` (the fallback *is* the oracle,
-so a host without a C compiler loses speed, never correctness).  Force a
-path with ``engine="compiled"`` / ``"scalar"`` — the differential fuzz
-harness pins both against the reference engine.
+``simulate_batch`` runs the compiled kernel when it loads; otherwise
+(no C compiler, or ``REPRO_NO_KERNEL=1``) it simulates each request with
+the per-point :func:`~repro.routing.simulator.simulate` (the fallback
+*is* the oracle, so a host without a C compiler loses speed, never
+correctness).  The kernel also builds every route plan, in one bulk
+``build_pair_plans`` call per placement.
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ import numpy as _np
 from ..circuits.gates import GateKind
 from ..mapping.placement import Placement
 from . import kernel as _kernel
-from .mesh import LatticeCell, Mesh
+from .mesh import LatticeCell, Mesh, popcount
 from .simulator import (
     RoutingDeadlockError,
     SimulationResult,
     SimulatorConfig,
     _empty_result,
     _gate_list,
+    _require_placed,
     circuit_fingerprint,
     simulate,
 )
@@ -90,34 +91,6 @@ _MAX_DIM = 64
 # ----------------------------------------------------------------------
 # Shared route plans
 # ----------------------------------------------------------------------
-_REP64 = [0]  # _REP64[L] = sum(2 ** (64 * i) for i in range(L))
-
-
-def _rep64(length: int) -> int:
-    while len(_REP64) <= length:
-        _REP64.append((_REP64[-1] << 64) | 1)
-    return _REP64[length]
-
-
-class _Candidate:
-    """One L-shaped route candidate in the dual padded representation.
-
-    ``rbytes`` is the little-endian serialization of the padded row-major
-    mask (cell (r, c) -> bit ``r * 64 + c``, ``group_height`` words);
-    ``cbytes`` is its column-major transpose (bit ``c * 64 + r``,
-    ``group_width`` words); ``probes`` is the 4-probe conflict test:
-    (word offset into a point's dual bitboard, word mask).
-    """
-
-    __slots__ = ("rbytes", "cbytes", "probes")
-
-    def __init__(self, rbytes: bytes, cbytes: bytes,
-                 probes: Tuple[Tuple[int, int], ...]):
-        self.rbytes = rbytes
-        self.cbytes = cbytes
-        self.probes = probes
-
-
 class _PairPlan:
     """Untruncated candidates for one endpoint pair on one mesh size.
 
@@ -129,140 +102,38 @@ class _PairPlan:
     generation-order dedup stops appending at the limit, which equals
     truncating the full dedup'd sequence).
 
-    ``packed`` is the candidates' master-matrix block verbatim: ``count``
-    dual-representation rows, little-endian, the row words then the
-    column words.  ``probe_arr`` is the matching ``(count * 4, 2)``
-    uint64 (offset, mask) probe table.
+    ``packed`` is the candidates' master-matrix block verbatim: a
+    ``(count, span)`` little-endian uint64 view of dual-representation
+    rows, the row words then the column words.  ``probe_arr`` is the
+    matching ``(count * 4, 2)`` uint64 (offset, mask) probe table.
     """
 
     __slots__ = ("count", "block", "packed", "probe_arr")
 
-    def __init__(self, count: int, packed: bytes, probe_arr):
+    def __init__(self, count: int, packed, probe_arr):
         self.count = count
         self.block = -1  # row offset in the group's master candidate matrix
         self.packed = packed
         self.probe_arr = probe_arr
 
 
-def _plan_from_candidates(candidates: List[_Candidate]) -> _PairPlan:
-    packed = b"".join(
-        part
-        for candidate in candidates
-        for part in (candidate.rbytes, candidate.cbytes)
-    )
-    probe_arr = _np.asarray(
-        [probe for candidate in candidates for probe in candidate.probes],
-        dtype="<u8",
-    ).reshape(len(candidates) * 4, 2)
-    return _PairPlan(len(candidates), packed, probe_arr)
-
-
-def _pair_candidate(endpoints, hrow: int, hcols, vcol: int, vrows,
-                    height: int, width: int) -> _Candidate:
-    (sr, sc), (tr, tc) = endpoints
-    ha, hb = hcols if hcols[0] <= hcols[1] else (hcols[1], hcols[0])
-    va, vb = vrows if vrows[0] <= vrows[1] else (vrows[1], vrows[0])
-    hmask = ((1 << (hb - ha + 1)) - 1) << ha   # bits are columns
-    vmask = ((1 << (vb - va + 1)) - 1) << va   # bits are rows
-    rbig = (
-        (1 << (sr * 64 + sc))
-        | (1 << (tr * 64 + tc))
-        | (hmask << (hrow * 64))
-        | (_rep64(vb - va + 1) << (va * 64 + vcol))
-    )
-    cbig = (
-        (1 << (sc * 64 + sr))
-        | (1 << (tc * 64 + tr))
-        | (vmask << (vcol * 64))
-        | (_rep64(hb - ha + 1) << (ha * 64 + hrow))
-    )
-    probes = (
-        (sr, 1 << sc),
-        (tr, 1 << tc),
-        (hrow, hmask),
-        (height + vcol, vmask),
-    )
-    return _Candidate(
-        rbig.to_bytes(height * 8, "little"),
-        cbig.to_bytes(width * 8, "little"),
-        probes,
-    )
-
-
-def _build_pair_plan(mesh: Mesh, source: LatticeCell, target: LatticeCell,
-                     height: int, width: int) -> _PairPlan:
-    """Full (untruncated) twin of ``BraidRouter._mask_plan``.
-
-    Same channel enumeration and generation-order dedup; candidates are
-    composed from their segment geometry instead of dense cell masks.
-    """
-    endpoints = (source, target)
-    (sr, sc), (tr, tc) = endpoints
-    max_row = mesh.lattice_height - 1
-    max_col = mesh.lattice_width - 1
-    candidates: List[_Candidate] = []
-    seen: Dict[bytes, bool] = {}
-    for channel_row in (sr - 1, min(sr + 1, max_row)):
-        for channel_col in (tc - 1, min(tc + 1, max_col)):
-            candidate = _pair_candidate(
-                endpoints,
-                channel_row, (sc, channel_col),
-                channel_col, (channel_row, tr),
-                height, width,
-            )
-            if candidate.rbytes not in seen:
-                seen[candidate.rbytes] = True
-                candidates.append(candidate)
-    for channel_col in (sc - 1, min(sc + 1, max_col)):
-        for channel_row in (tr - 1, min(tr + 1, max_row)):
-            candidate = _pair_candidate(
-                endpoints,
-                channel_row, (channel_col, tc),
-                channel_col, (sr, channel_row),
-                height, width,
-            )
-            if candidate.rbytes not in seen:
-                seen[candidate.rbytes] = True
-                candidates.append(candidate)
-    return _plan_from_candidates(candidates)
-
-
 class _PlanCache:
     """Per-group cache of :class:`_PairPlan` keyed by (dims, source, target).
 
-    Plan geometry is generated by the kernel's C ``build_pair_plan``
-    (byte-identical rows and probes — pinned by ``test_simulator_batch``'s
-    builder-parity test).  Pairs touching the padding frame, and caches
-    built without a kernel, use the pure-Python big-int composition above.
+    Every plan comes from the kernel's bulk ``build_pair_plans`` through
+    :meth:`prefetch`; :meth:`pair` only looks plans up.  The C builder
+    replicates ``BraidRouter._mask_plan`` (pinned by
+    ``test_simulator_batch``'s router-parity test).
     """
 
-    __slots__ = ("_plans", "_height", "_width", "_kernel", "_rows_buf",
-                 "_poff_buf", "_pmask_buf")
+    __slots__ = ("_plans", "_height", "_width", "_kernel")
 
-    def __init__(self, height: int, width: int, kernel=None) -> None:
-        self._plans: Dict[Tuple, _PairPlan] = {}
+    def __init__(self, height: int, width: int, kernel) -> None:
+        # A plan is None when the kernel rejected its pair.
+        self._plans: Dict[Tuple, Optional[_PairPlan]] = {}
         self._height = height
         self._width = width
         self._kernel = kernel
-        if kernel is not None:
-            span = height + width
-            self._rows_buf = _np.zeros((8, span), dtype="<u8")
-            self._poff_buf = _np.zeros((8, 4), dtype=_np.int64)
-            self._pmask_buf = _np.zeros((8, 4), dtype="<u8")
-
-    def _pair_compiled(self, mesh: Mesh, source: LatticeCell,
-                       target: LatticeCell) -> _PairPlan:
-        (sr, sc), (tr, tc) = source, target
-        kept = self._kernel.build_pair_plan(
-            sr, sc, tr, tc,
-            mesh.lattice_height - 1, mesh.lattice_width - 1,
-            self._height, self._width,
-            self._rows_buf, self._poff_buf, self._pmask_buf,
-        )
-        probe_arr = _np.empty((kept * 4, 2), dtype="<u8")
-        probe_arr[:, 0] = self._poff_buf[:kept].reshape(-1)
-        probe_arr[:, 1] = self._pmask_buf[:kept].reshape(-1)
-        return _PairPlan(kept, self._rows_buf[:kept].tobytes(), probe_arr)
 
     def prefetch(self, mesh: Mesh, pairs) -> None:
         """Build every uncached plan of ``pairs`` in one kernel call.
@@ -271,37 +142,21 @@ class _PlanCache:
         circuits, so the batched engine pre-resolves a placement's whole
         pair set through the kernel's bulk ``build_pair_plans`` and keeps
         ndarray views into the bulk buffers (no per-pair copies).  Pairs
-        already cached, touching the padding frame (a coordinate < 1), or
-        rejected by the kernel (kept < 0) are left for :meth:`pair`.
-        No-op without a kernel.
+        with coincident endpoints are skipped: such a star leg sends its
+        point to the scalar engine.
         """
-        kern = self._kernel
-        if kern is None:
-            return
         width_cells = mesh.lattice_width
         height_cells = mesh.lattice_height
-        wanted = []
-        queued = set()
+        wanted: Dict[Tuple, Tuple[int, int, int, int]] = {}
         for source, target in pairs:
             key = (width_cells, height_cells, source, target)
-            if key in self._plans or key in queued:
-                continue
-            if source == target:  # degenerate star leg: point goes scalar
-                continue
-            if min(source[0], source[1], target[0], target[1]) < 1:
-                continue
-            queued.add(key)
-            wanted.append((key, source, target))
+            if key not in self._plans and source != target:
+                wanted[key] = source + target
         if not wanted:
             return
         m = len(wanted)
         span = self._height + self._width
-        coords = _np.empty((m, 4), dtype=_np.int64)
-        for i, (_, (sr, sc), (tr, tc)) in enumerate(wanted):
-            coords[i, 0] = sr
-            coords[i, 1] = sc
-            coords[i, 2] = tr
-            coords[i, 3] = tc
+        coords = _np.asarray(list(wanted.values()), dtype=_np.int64)
         # np.empty, not zeros: the kernel fully writes every kept row and
         # its 4 probes, and slots beyond kept[i] are never read (callers
         # slice ``[:kept]``), so the zero-fill would be pure overhead.
@@ -309,34 +164,27 @@ class _PlanCache:
         poff = _np.empty((m, 8, 4), dtype=_np.int64)
         pmask = _np.empty((m, 8, 4), dtype="<u8")
         kept = _np.empty(m, dtype=_np.int64)
-        kern.build_pair_plans(
+        self._kernel.build_pair_plans(
             coords, m, height_cells - 1, width_cells - 1,
             self._height, self._width, rows, poff, pmask, kept,
         )
         probes = _np.empty((m, 8, 4, 2), dtype="<u8")
         probes[..., 0] = poff  # non-negative offsets: safe int64 -> uint64
         probes[..., 1] = pmask
-        for i, (key, _, _) in enumerate(wanted):
+        for i, key in enumerate(wanted):
             k = int(kept[i])
-            if k < 0:
-                continue
-            self._plans[key] = _PairPlan(
+            self._plans[key] = None if k < 0 else _PairPlan(
                 k, rows[i, :k], probes[i, :k].reshape(k * 4, 2)
             )
 
     def pair(self, mesh: Mesh, source: LatticeCell, target: LatticeCell) -> _PairPlan:
-        key = (mesh.lattice_width, mesh.lattice_height, source, target)
-        plan = self._plans.get(key)
+        """The prefetched plan of one endpoint pair."""
+        plan = self._plans[(mesh.lattice_width, mesh.lattice_height, source, target)]
         if plan is None:
-            if self._kernel is not None and min(
-                source[0], source[1], target[0], target[1]
-            ) >= 1:
-                plan = self._pair_compiled(mesh, source, target)
-            else:
-                plan = _build_pair_plan(
-                    mesh, source, target, self._height, self._width
-                )
-            self._plans[key] = plan
+            raise RuntimeError(
+                f"the batchsim kernel rejected the endpoint pair "
+                f"{source} -> {target}"
+            )
         return plan
 
 
@@ -383,16 +231,6 @@ class _Shared:
         for gate in gates:
             used.update(gate.qubits)
         self.used_qubits = used
-
-
-def _validate_placement(shared: _Shared, placement: Placement) -> None:
-    """Same check (and message) as ``simulator._prepare_simulation``."""
-    missing = [q for q in shared.used_qubits if q not in placement.positions]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} qubits used by the circuit are not placed "
-            f"(first few: {sorted(missing)[:5]})"
-        )
 
 
 class _MatrixBuilder:
@@ -556,11 +394,8 @@ def _row_popcounts(matrix, height: int):
         return _np.bitwise_count(matrix[:, :height]).sum(
             axis=1, dtype=_np.int64
         )
-    return _np.asarray(  # pragma: no cover - numpy < 2.0
-        [
-            int.from_bytes(row[:height].tobytes(), "little").bit_count()
-            for row in matrix
-        ],
+    return _np.asarray(  # numpy < 2.0
+        [popcount(int.from_bytes(row[:height].tobytes(), "little")) for row in matrix],
         dtype=_np.int64,
     )
 
@@ -644,40 +479,22 @@ def kernel_available() -> bool:
     return _kernel.available()
 
 
-def simulate_batch(
-    requests: Sequence[BatchPoint],
-    engine: str = "auto",
-) -> List[SimulationResult]:
+def simulate_batch(requests: Sequence[BatchPoint]) -> List[SimulationResult]:
     """Simulate many (circuit, placement, config) points, batched.
 
     ``requests`` is a sequence of ``(circuit_or_gates, placement, config)``
     triples (``config`` may be ``None`` for the default).  Requests are
     grouped by circuit content; each group's batchable points share the
     circuit preparation and route plans and run through the compiled
-    kernel.  Results come back in request order and are byte-identical to
-    per-request :func:`~repro.routing.simulator.simulate` calls.
-
-    ``engine`` selects the path: ``"auto"`` (compiled kernel when it
-    loads, else per-request ``simulate``), ``"compiled"`` (require the C
-    kernel, raise :class:`RuntimeError` when it cannot be built), or
-    ``"scalar"`` (always per-request ``simulate``).
+    kernel.  Without the kernel every request runs through per-point
+    :func:`~repro.routing.simulator.simulate`.  Results come back in
+    request order and are byte-identical to per-request ``simulate`` calls.
     """
-    if engine not in ("auto", "compiled", "scalar"):
-        raise ValueError(f"unknown batch engine {engine!r}")
-    kern = _kernel.load() if engine != "scalar" else None
-    if engine == "compiled" and kern is None:
-        raise RuntimeError(
-            "engine='compiled' requires a working C compiler to build "
-            "the simulator kernel"
-        )
-
-    normalized: List[Tuple[object, Placement, SimulatorConfig]] = []
-    for request in requests:
-        circuit_or_gates, placement, config = request
-        normalized.append(
-            (circuit_or_gates, placement, config or SimulatorConfig())
-        )
-
+    kern = _kernel.load()
+    normalized = [
+        (circ, placement, config or SimulatorConfig())
+        for circ, placement, config in requests
+    ]
     if kern is None:
         return [
             simulate(circ, placement, config)
@@ -714,7 +531,7 @@ def simulate_batch(
         oversized: set = set()
         for index in indices:
             placement = normalized[index][1]
-            _validate_placement(shared, placement)
+            _require_placed(shared.used_qubits, placement)
             mesh_key = placement.fingerprint()
             mesh = mesh_cache.get(mesh_key)
             if mesh is None:

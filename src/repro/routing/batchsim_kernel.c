@@ -11,9 +11,11 @@
  *
  * Two entry points, loaded via ctypes by repro/routing/kernel.py:
  *
- *   build_pair_plan  — candidate-row generation for one endpoint pair,
+ *   build_pair_plans — candidate-row generation for m endpoint pairs,
  *                      replicating BraidRouter._mask_plan's channel
- *                      enumeration and generation-order dedup.
+ *                      enumeration and generation-order dedup; a pair's
+ *                      kept count is -1 (an error: the caller raises)
+ *                      when a coordinate lies on the padding frame.
  *   simulate_point   — one sweep point's full event loop, byte-identical
  *                      to simulate() (and therefore simulate_reference).
  *
@@ -211,10 +213,10 @@ static int64_t emit_candidate(
 /* Candidate rows for one endpoint pair: the same channel enumeration as
  * BraidRouter._mask_plan (row-first then column-first L shapes), with
  * duplicate rows dropped in generation order.  Buffers must hold
- * MAX_CANDIDATES rows; returns how many were kept, or -1 when a channel
- * coordinate would be negative (callers fall back to Python, which
- * reproduces the big-int engine's behavior for such degenerate meshes). */
-int64_t build_pair_plan(
+ * MAX_CANDIDATES rows; returns how many were kept, or -1 (an error) when
+ * a channel coordinate would be negative or the span exceeds MAX_SPAN.
+ * Qubit tiles sit at odd lattice cells, so real plans never hit -1. */
+static int64_t build_pair_plan(
     int64_t sr, int64_t sc, int64_t tr, int64_t tc,
     int64_t max_row, int64_t max_col,
     int64_t height, int64_t width,
@@ -247,8 +249,8 @@ int64_t build_pair_plan(
     return kept;
 }
 
-/* Bulk twin of build_pair_plan: m pairs in one call (one ctypes round
- * trip per placement instead of one per pair).  pairs is m * 4 ints
+/* build_pair_plan over m pairs in one call (one ctypes round trip per
+ * placement instead of one per pair).  pairs is m * 4 ints
  * (sr, sc, tr, tc); each pair writes its own MAX_CANDIDATES-row slot in
  * rows_out / poff_out / pmask_out and its kept count (or -1) into
  * kept_out. */

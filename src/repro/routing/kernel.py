@@ -35,12 +35,9 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, path: str) -> None:
         self.path = path
-        self._build = lib.build_pair_plan
-        self._build.restype = ctypes.c_int64
-        self._build.argtypes = [ctypes.c_int64] * 8 + [ctypes.c_void_p] * 3
-        self._build_bulk = lib.build_pair_plans
-        self._build_bulk.restype = None
-        self._build_bulk.argtypes = (
+        self._build = lib.build_pair_plans
+        self._build.restype = None
+        self._build.argtypes = (
             [ctypes.c_void_p] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 4
         )
         self._simulate = lib.simulate_point
@@ -53,17 +50,14 @@ class Kernel:
             + [ctypes.c_void_p] * 4
         )
 
-    def build_pair_plan(self, sr, sc, tr, tc, max_row, max_col,
-                        height, width, rows_out, poff_out, pmask_out) -> int:
-        return self._build(
-            sr, sc, tr, tc, max_row, max_col, height, width,
-            rows_out.ctypes.data, poff_out.ctypes.data, pmask_out.ctypes.data,
-        )
-
     def build_pair_plans(self, pairs, m, max_row, max_col, height, width,
                          rows_out, poff_out, pmask_out, kept_out) -> None:
-        """Bulk twin of :meth:`build_pair_plan`: m pairs, one library call."""
-        self._build_bulk(
+        """Route-plan rows and probes for m endpoint pairs, one library call.
+
+        ``kept_out[i]`` is the number of candidates of pair ``i``, or -1
+        when the kernel rejects the pair.
+        """
+        self._build(
             pairs.ctypes.data, m, max_row, max_col, height, width,
             rows_out.ctypes.data, poff_out.ctypes.data, pmask_out.ctypes.data,
             kept_out.ctypes.data,

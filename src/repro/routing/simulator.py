@@ -173,6 +173,16 @@ def _gate_list(circuit_or_gates) -> Tuple[Gate, ...]:
     return tuple(circuit_or_gates)
 
 
+def _require_placed(used_qubits: Set[int], placement: Placement) -> None:
+    """Raise :class:`ValueError` unless every used qubit is placed."""
+    missing = [q for q in used_qubits if q not in placement.positions]
+    if missing:
+        raise ValueError(
+            f"{len(missing)} qubits used by the circuit are not placed "
+            f"(first few: {sorted(missing)[:5]})"
+        )
+
+
 def _prepare_simulation(
     circuit_or_gates, placement: Placement, config: SimulatorConfig
 ):
@@ -181,12 +191,7 @@ def _prepare_simulation(
     used_qubits: Set[int] = set()
     for gate in gates:
         used_qubits.update(gate.qubits)
-    missing = [q for q in used_qubits if q not in placement.positions]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} qubits used by the circuit are not placed "
-            f"(first few: {sorted(missing)[:5]})"
-        )
+    _require_placed(used_qubits, placement)
 
     mesh = Mesh.from_placement(
         placement.positions, width=placement.width, height=placement.height
@@ -828,49 +833,54 @@ class SimulationCache:
         self._insert(key, result)
         return result
 
-    def lookup(
+    def simulate_many(
         self,
-        circuit_or_gates,
-        placement: Placement,
-        config: Optional[SimulatorConfig] = None,
-    ) -> Optional[SimulationResult]:
-        """Probe the memo without simulating on a miss.
+        points: Sequence[Tuple[object, Placement, Optional[SimulatorConfig]]],
+    ) -> List[SimulationResult]:
+        """Memoized :func:`~repro.routing.batchsim.simulate_batch`.
 
-        A hit counts as a ``hits`` (exactly like :meth:`simulate`); a miss
-        returns ``None`` *uncounted* — the caller is expected to compute the
-        result some other way (e.g. through the batched engine) and insert
-        it with :meth:`store_result`, which books the miss.  The batched
-        evaluation pipeline uses this pair so its cache accounting is
-        identical to per-request :meth:`simulate` calls.
+        Same results and the same ``hits`` / ``misses`` booking as
+        ``[self.simulate(*point) for point in points]``: a point already
+        cached, or repeated earlier in ``points``, is a hit; every other
+        point is a miss, and all misses run in one ``simulate_batch`` call.
         """
-        if not isinstance(circuit_or_gates, Circuit):
-            circuit_or_gates = tuple(circuit_or_gates)
-        key = simulation_cache_key(circuit_or_gates, placement, config)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return cached
-        return None
+        # Looked up at call time, not imported by name: batchsim imports
+        # this module, and tracers wrap ``batchsim.simulate_batch``.
+        from . import batchsim
 
-    def store_result(
-        self,
-        circuit_or_gates,
-        placement: Placement,
-        config: Optional[SimulatorConfig],
-        result: SimulationResult,
-    ) -> None:
-        """Insert an externally computed result, counted as a ``misses``.
-
-        The counterpart of a :meth:`lookup` miss: simulation happened
-        outside the cache (the batched engine), so book the miss here to
-        keep the hit/miss counters byte-identical to an unbatched run.
-        """
-        if not isinstance(circuit_or_gates, Circuit):
-            circuit_or_gates = tuple(circuit_or_gates)
-        key = simulation_cache_key(circuit_or_gates, placement, config)
-        self.misses += 1
-        self._insert(key, result)
+        keys: List[Tuple] = []
+        results: List[Optional[SimulationResult]] = [None] * len(points)
+        batch_index: Dict[Tuple, int] = {}
+        batch: List[Tuple[object, Placement, Optional[SimulatorConfig]]] = []
+        for position, (circuit_or_gates, placement, config) in enumerate(points):
+            if not isinstance(circuit_or_gates, Circuit):
+                circuit_or_gates = tuple(circuit_or_gates)
+            key = simulation_cache_key(circuit_or_gates, placement, config)
+            keys.append(key)
+            if key in batch_index:
+                continue
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                results[position] = cached
+                continue
+            batch_index[key] = len(batch)
+            batch.append((circuit_or_gates, placement, config))
+        if not batch:
+            return results  # type: ignore[return-value]
+        computed = batchsim.simulate_batch(batch)
+        for position, key in enumerate(keys):
+            if results[position] is not None:
+                continue
+            results[position] = computed[batch_index[key]]
+            if key in self._entries:  # a repeat of a point inserted above
+                self._entries.move_to_end(key)
+                self.hits += 1
+            else:
+                self.misses += 1
+                self._insert(key, results[position])
+        return results  # type: ignore[return-value]
 
     def _insert(self, key: Tuple, result: SimulationResult) -> None:
         self._entries[key] = result

@@ -354,6 +354,44 @@ class TestSimulationCache:
         changed.append(cnot(0, 2))
         assert circuit_fingerprint(changed) != circuit_fingerprint(tiny_circuit())
 
+    def test_simulate_many_books_like_a_simulate_loop(self, monkeypatch):
+        """Cached and repeated points are hits; the misses run in one
+        ``batchsim.simulate_batch`` call, looked up when called (tracers
+        wrap that attribute)."""
+        from repro.routing import batchsim
+
+        circuit = tiny_circuit()
+        placements = [row_major_placement(list(range(4))),
+                      row_major_placement([3, 2, 1, 0])]
+        config = SimulatorConfig(max_candidates=1)
+        points = [
+            (circuit, placements[0], None),
+            (circuit, placements[1], None),
+            (list(circuit.gates), placements[1], None),
+            (circuit, placements[1], config),
+            (circuit, placements[0], None),
+        ]
+        looped = SimulationCache()
+        looped.simulate(circuit, placements[0])
+        expected = [looped.simulate(*point).to_dict() for point in points]
+
+        calls = []
+        real = batchsim.simulate_batch
+
+        def spy(requests):
+            calls.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(batchsim, "simulate_batch", spy)
+        cache = SimulationCache()
+        cache.simulate(circuit, placements[0])
+        results = cache.simulate_many(points)
+        assert [result.to_dict() for result in results] == expected
+        assert (cache.hits, cache.misses) == (looped.hits, looped.misses)
+        assert calls == [2]
+        assert cache.simulate_many(points[:1]) == results[:1]
+        assert calls == [2]  # an all-hit batch simulates nothing
+
     def test_lru_bound(self):
         cache = SimulationCache(max_entries=1)
         circuit = tiny_circuit()

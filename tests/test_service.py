@@ -175,7 +175,8 @@ class TestEvaluate:
             "*",
         ):
             assert service.evaluate(data, if_none_match=header).not_modified
-        assert not service.evaluate(data, if_none_match='"0" * 40').not_modified
+        stale = 'W/"' + "0" * 40 + '"'
+        assert not service.evaluate(data, if_none_match=stale).not_modified
 
     def test_stale_etag_is_answered_in_full(self, service):
         data = a_request().to_dict()

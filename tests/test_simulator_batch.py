@@ -6,15 +6,17 @@
 suite, to :func:`repro.routing.simulate_reference`) at **any** batch
 size and grouping.  These tests pin the invariants that promise decomposes
 into — batch-of-1 equals scalar, grouping/order independence, early
-retirees not perturbing survivors, the C plan builder matching the pure
-Python one — plus the engine-selection and fallback contract
-(``engine=`` validation, ``REPRO_NO_KERNEL``, scalar-config points inside
-a batch).  The randomized end-to-end sweep lives in
+retirees not perturbing survivors, the C plan builder matching the
+router's candidate masks — plus the fallback contract (``REPRO_NO_KERNEL``,
+scalar-config points inside a batch).  Each invariant runs twice: with the
+kernel (``compiled``) and with ``REPRO_NO_KERNEL=1`` (``scalar``: per-point
+``simulate``).  The randomized end-to-end sweep lives in
 ``test_simulator_fuzz.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.circuits.gates import cnot
@@ -24,6 +26,7 @@ from repro.mapping import (
     random_circuit_placement,
 )
 from repro.routing import (
+    BraidRouter,
     Mesh,
     SimulatorConfig,
     kernel_available,
@@ -36,12 +39,30 @@ from repro.routing import kernel as kernel_module
 from repro.routing.simulator import _gate_list
 
 
-def available_engines():
-    """Engines runnable in this environment (``scalar`` always is)."""
-    engines = ["scalar"]
-    if kernel_available():
-        engines.append("compiled")
-    return engines
+@pytest.fixture
+def engine(request, monkeypatch):
+    """Run the test on one ``simulate_batch`` path.
+
+    ``scalar`` opts out of the kernel with ``REPRO_NO_KERNEL=1``, so
+    ``simulate_batch`` runs per-point ``simulate``; ``compiled`` leaves
+    the loaded kernel in place.
+    """
+    if request.param == "scalar":
+        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+        kernel_module.reset()
+    assert kernel_available() == (request.param == "compiled")
+    yield request.param
+    if request.param == "scalar":
+        monkeypatch.undo()
+        kernel_module.reset()
+
+
+#: Runs a test once per path runnable here (``scalar`` always is).
+with_engines = pytest.mark.parametrize(
+    "engine",
+    ["scalar", "compiled"] if kernel_available() else ["scalar"],
+    indirect=True,
+)
 
 
 def dicts(results):
@@ -66,41 +87,37 @@ def k4_expected(k4_points):
 
 
 class TestBatchInvariants:
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_batch_of_one_matches_scalar(self, single_level_k4, engine):
         placement = random_circuit_placement(single_level_k4.circuit, seed=7)
         config = SimulatorConfig(max_candidates=2)
         point = (single_level_k4.circuit, placement, config)
-        batched = simulate_batch([point], engine=engine)
+        batched = simulate_batch([point])
         assert len(batched) == 1
         expected = simulate(single_level_k4.circuit, placement, config)
         assert batched[0].to_dict() == expected.to_dict()
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_full_batch_matches_scalar(self, k4_points, k4_expected, engine):
-        assert dicts(simulate_batch(k4_points, engine=engine)) == k4_expected
+        assert dicts(simulate_batch(k4_points)) == k4_expected
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     @pytest.mark.parametrize("size", [1, 3, 8])
     def test_split_independence(self, k4_points, k4_expected, engine, size):
         """Chunking a batch into sub-batches of any size changes nothing."""
         out = []
         for start in range(0, len(k4_points), size):
-            out.extend(
-                simulate_batch(k4_points[start:start + size], engine=engine)
-            )
+            out.extend(simulate_batch(k4_points[start:start + size]))
         assert dicts(out) == k4_expected
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_order_independence(self, k4_points, k4_expected, engine):
         """Permuting the request order permutes the results, nothing else."""
         order = [4, 0, 5, 2, 1, 3]
-        permuted = simulate_batch(
-            [k4_points[i] for i in order], engine=engine
-        )
+        permuted = simulate_batch([k4_points[i] for i in order])
         assert dicts(permuted) == [k4_expected[i] for i in order]
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_mixed_circuit_grouping(
         self, single_level_k4, single_level_k8, engine
     ):
@@ -115,9 +132,9 @@ class TestBatchInvariants:
                     (factory.circuit, placement, SimulatorConfig(max_candidates=2))
                 )
         expected = [simulate(g, p, c).to_dict() for g, p, c in points]
-        assert dicts(simulate_batch(points, engine=engine)) == expected
+        assert dicts(simulate_batch(points)) == expected
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_early_retirees_do_not_perturb_survivors(
         self, single_level_k8, engine
     ):
@@ -137,9 +154,9 @@ class TestBatchInvariants:
         points = [(gates, p, config) for p in [slow[0], fast, slow[1]]]
         solo = [simulate(g, p, c) for g, p, c in points]
         assert solo[1].latency < min(solo[0].latency, solo[2].latency)
-        assert dicts(simulate_batch(points, engine=engine)) == dicts(solo)
+        assert dicts(simulate_batch(points)) == dicts(solo)
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_matches_untracked_reference(self, k4_points, engine):
         """Satellite: ``simulate_reference(track_wakeups=False)`` agreement.
 
@@ -147,7 +164,7 @@ class TestBatchInvariants:
         ``sim-congestion`` bench depends on this); everything else in its
         ``to_dict()`` must match the batched engines field for field.
         """
-        batched = simulate_batch(k4_points, engine=engine)
+        batched = simulate_batch(k4_points)
         for (g, p, c), result in zip(k4_points, batched):
             untracked = simulate_reference(g, p, c, track_wakeups=False)
             batched_dict = result.to_dict()
@@ -156,7 +173,7 @@ class TestBatchInvariants:
             batched_dict.pop("wakeups")
             assert batched_dict == untracked_dict
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_scalar_config_points_inside_batch(self, single_level_k4, engine):
         """Detour/hop configs fall back per point without breaking the batch."""
         placement = random_circuit_placement(single_level_k4.circuit, seed=1)
@@ -167,9 +184,9 @@ class TestBatchInvariants:
         ]
         points = [(single_level_k4.circuit, placement, c) for c in configs]
         expected = [simulate(g, p, c).to_dict() for g, p, c in points]
-        assert dicts(simulate_batch(points, engine=engine)) == expected
+        assert dicts(simulate_batch(points)) == expected
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_stale_freed_bits_regression(self, engine):
         """Fuzz-found: an unparked retirement must not leak freed cells.
 
@@ -198,10 +215,10 @@ class TestBatchInvariants:
         expected = simulate(gates, placement, config)
         assert expected.stall_events == 1  # the scenario must actually stall
         points = [(gates, placement, config)] * 2
-        batched = simulate_batch(points, engine=engine)
+        batched = simulate_batch(points)
         assert [r.to_dict() for r in batched] == [expected.to_dict()] * 2
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @with_engines
     def test_max_cycles_exceeded_parity(self, engine):
         """The scalar engine's max_cycles error fires identically batched."""
         gates = (cnot(0, 1), cnot(2, 3), cnot(0, 3))
@@ -212,17 +229,10 @@ class TestBatchInvariants:
         )
         points = [(gates, placement, SimulatorConfig(max_cycles=0))]
         with pytest.raises(RuntimeError, match="max_cycles=0"):
-            simulate_batch(points, engine=engine)
+            simulate_batch(points)
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, single_level_k4):
-        placement = linear_factory_placement(single_level_k4)
-        with pytest.raises(ValueError, match="unknown batch engine"):
-            simulate_batch(
-                [(single_level_k4.circuit, placement, None)], engine="magic"
-            )
-
     def test_empty_batch(self):
         assert simulate_batch([]) == []
 
@@ -232,13 +242,6 @@ class TestEngineSelection:
         expected = simulate(single_level_k4.circuit, placement)
         assert batched[0].to_dict() == expected.to_dict()
 
-    def test_vector_engine_is_gone(self, single_level_k4):
-        placement = linear_factory_placement(single_level_k4)
-        with pytest.raises(ValueError, match="unknown batch engine"):
-            simulate_batch(
-                [(single_level_k4.circuit, placement, None)], engine="vector"
-            )
-
     def test_no_kernel_env_pins_python_paths(
         self, single_level_k4, monkeypatch
     ):
@@ -246,7 +249,7 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_NO_KERNEL", "1")
         kernel_module.reset()
         try:
-            assert not kernel_available()
+            assert kernel_module.load() is None
             placement = random_circuit_placement(
                 single_level_k4.circuit, seed=5
             )
@@ -254,83 +257,119 @@ class TestEngineSelection:
                 (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=2)),
                 (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=8)),
             ]
-            with pytest.raises(RuntimeError, match="compiled"):
-                simulate_batch(points, engine="compiled")
             expected = [simulate(g, p, c).to_dict() for g, p, c in points]
             assert dicts(simulate_batch(points)) == expected
         finally:
             monkeypatch.delenv("REPRO_NO_KERNEL")
             kernel_module.reset()
 
+    def test_row_popcounts_without_numpy_bitwise_count(self, monkeypatch):
+        """The numpy < 2.0 fallback counts the same cells as numpy 2."""
+        rng = np.random.default_rng(0)
+        matrix = np.frombuffer(rng.bytes(12 * 9 * 8), dtype="<u8").reshape(12, 9)
+        height = 5
+        expected = [
+            sum(bin(int(word)).count("1") for word in row[:height])
+            for row in matrix
+        ]
+        if hasattr(np, "bitwise_count"):
+            assert batchsim._row_popcounts(matrix, height).tolist() == expected
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert batchsim._row_popcounts(matrix, height).tolist() == expected
+
 
 @pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
 class TestCompiledPlanBuilder:
-    """The C ``build_pair_plan(s)`` vs the pure-Python plan composer."""
+    """The C ``build_pair_plans`` vs ``BraidRouter._mask_plan`` (the oracle)."""
 
-    def _mesh(self, factory, seed):
+    @staticmethod
+    def _mesh(factory, seed):
         placement = random_circuit_placement(factory.circuit, seed=seed)
-        return placement, Mesh.from_placement(
+        return Mesh.from_placement(
             placement.positions,
             width=placement.width,
             height=placement.height,
         )
 
-    def _pairs(self, mesh):
+    @staticmethod
+    def _pairs(mesh):
         cells = sorted(set(mesh.qubit_cells.values()))
-        return [
-            (a, b)
-            for a in cells
-            for b in cells
-            if a != b and min(a[0], a[1], b[0], b[1]) >= 1
-        ]
+        return [(a, b) for a in cells for b in cells if a != b]
 
     @staticmethod
-    def _as_bytes(packed):
-        return packed if isinstance(packed, bytes) else packed.tobytes()
+    def _cache(mesh):
+        return batchsim._PlanCache(
+            mesh.lattice_height, mesh.lattice_width, kernel_module.load()
+        )
 
-    def _assert_plans_equal(self, lhs, rhs):
-        assert lhs.count == rhs.count
-        assert self._as_bytes(lhs.packed) == self._as_bytes(rhs.packed)
-        assert (lhs.probe_arr == rhs.probe_arr).all()
+    @staticmethod
+    def _plan_cells(plan, height, width):
+        """Each candidate row's cells in row-major order.
+
+        Also checks the dual representation: the column words must be the
+        exact transpose of the row words, with nothing outside the mesh.
+        """
+        rows = np.asarray(plan.packed, dtype="<u8").reshape(plan.count, -1)
+        bits = np.unpackbits(
+            rows.view(np.uint8), axis=1, bitorder="little"
+        ).reshape(plan.count, height + width, 64)
+        grid = bits[:, :height, :width]
+        assert not bits[:, :height, width:].any()
+        assert not bits[:, height:, height:].any()
+        assert np.array_equal(bits[:, height:, :height].transpose(0, 2, 1), grid)
+        return [
+            [(int(r), int(c)) for r, c in zip(*np.nonzero(cells))]
+            for cells in grid
+        ]
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_single_pair_builder_parity(self, single_level_k8, seed):
-        _placement, mesh = self._mesh(single_level_k8, seed)
-        height, width = mesh.lattice_height, mesh.lattice_width
-        compiled = batchsim._PlanCache(
-            height, width, kernel=kernel_module.load()
-        )
-        python = batchsim._PlanCache(height, width, kernel=None)
-        for source, target in self._pairs(mesh):
-            self._assert_plans_equal(
-                compiled.pair(mesh, source, target),
-                python.pair(mesh, source, target),
-            )
+    def test_single_pair_builder_parity(
+        self, single_level_k4, single_level_k8, seed
+    ):
+        """Every ordered tile pair's plan is the router's, cell for cell.
+
+        The kernel must emit the candidates of ``_mask_plan`` at
+        ``max_candidates=8`` (the untruncated plan) in the same order.
+        """
+        for factory in (single_level_k4, single_level_k8):
+            mesh = self._mesh(factory, seed)
+            router = BraidRouter(mesh, max_candidates=8)
+            cache = self._cache(mesh)
+            pairs = self._pairs(mesh)
+            cache.prefetch(mesh, pairs)
+            for source, target in pairs:
+                masks, _ = router._mask_plan(source, target)
+                plan = cache.pair(mesh, source, target)
+                assert self._plan_cells(
+                    plan, mesh.lattice_height, mesh.lattice_width
+                ) == [mesh.mask_cells(mask) for mask in masks], (source, target)
 
     def test_bulk_prefetch_matches_single_calls(self, single_level_k8):
-        """``prefetch`` (one bulk kernel call) == per-pair ``pair`` calls."""
-        _placement, mesh = self._mesh(single_level_k8, 2)
-        height, width = mesh.lattice_height, mesh.lattice_width
-        kern = kernel_module.load()
-        prefetched = batchsim._PlanCache(height, width, kernel=kern)
-        single = batchsim._PlanCache(height, width, kernel=kern)
+        """One bulk ``prefetch`` of every pair == one ``prefetch`` per pair."""
+        mesh = self._mesh(single_level_k8, 2)
+        bulk, single = self._cache(mesh), self._cache(mesh)
         pairs = self._pairs(mesh)
-        prefetched.prefetch(mesh, pairs)
+        bulk.prefetch(mesh, pairs)
         for source, target in pairs:
-            self._assert_plans_equal(
-                prefetched.pair(mesh, source, target),
-                single.pair(mesh, source, target),
-            )
+            single.prefetch(mesh, [(source, target)])
+            lhs = bulk.pair(mesh, source, target)
+            rhs = single.pair(mesh, source, target)
+            assert lhs.count == rhs.count
+            assert np.array_equal(lhs.packed, rhs.packed)
+            assert np.array_equal(lhs.probe_arr, rhs.probe_arr)
 
-    def test_prefetch_skips_border_and_degenerate_pairs(self, single_level_k4):
-        """Padding-frame and coincident pairs never reach the bulk kernel.
+    def test_rejected_pair_raises(self, single_level_k4):
+        """A pair the kernel rejects raises instead of giving a plan.
 
-        Qubit tiles live at odd/odd lattice cells, so neither shape occurs
-        in real plan requests; ``prefetch`` must not hand them to the C
-        builder (whose channel enumeration assumes coordinates >= 1).
+        Qubit tiles live at odd/odd lattice cells, so a pair on the
+        padding frame (a coordinate < 1) never occurs in real plan
+        requests; the C builder rejects it (kept = -1).  A pair with
+        coincident endpoints is not built at all.
         """
-        _placement, mesh = self._mesh(single_level_k4, 0)
-        height, width = mesh.lattice_height, mesh.lattice_width
-        cache = batchsim._PlanCache(height, width, kernel=kernel_module.load())
+        mesh = self._mesh(single_level_k4, 0)
+        cache = self._cache(mesh)
         cache.prefetch(mesh, [((0, 1), (1, 1)), ((1, 1), (1, 1))])
-        assert not cache._plans
+        with pytest.raises(RuntimeError, match="rejected"):
+            cache.pair(mesh, (0, 1), (1, 1))
+        with pytest.raises(KeyError):
+            cache.pair(mesh, (1, 1), (1, 1))

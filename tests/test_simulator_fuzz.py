@@ -1,12 +1,12 @@
-"""Differential fuzz harness: batched engines vs the reference oracles.
+"""Differential fuzz harness: the batched simulator vs the reference oracles.
 
 Each trial draws a random scenario — one or two circuits, one or two
 placements each, a handful of simulator configs, the whole point set
-shuffled and chunked into random batch sizes — and checks that **every**
-available batched engine (``scalar``, ``compiled`` when the C kernel
-builds) produces ``to_dict()`` output
-byte-identical to per-point :func:`repro.routing.simulate`, which is
-itself cross-checked against :func:`repro.routing.simulate_reference`
+shuffled and chunked into random batch sizes — and checks that
+:func:`repro.routing.simulate_batch` (the compiled kernel when it builds;
+per-point ``simulate`` under ``REPRO_NO_KERNEL=1``) produces ``to_dict()``
+output byte-identical to per-point :func:`repro.routing.simulate`, which
+is itself cross-checked against :func:`repro.routing.simulate_reference`
 (stall_events, distinct_stalls and wakeups included).  A small corpus
 runs in tier 1; the nightly CI job widens it with ``--fuzz-iterations``.
 
@@ -24,7 +24,6 @@ import pytest
 from repro.mapping import Placement
 from repro.routing import (
     SimulatorConfig,
-    kernel_available,
     simulate,
     simulate_batch,
     simulate_reference,
@@ -33,13 +32,6 @@ from test_simulator_parity import random_gates, random_placement
 
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20260808
-
-
-def _engines():
-    engines = ["scalar"]
-    if kernel_available():
-        engines.append("compiled")
-    return engines
 
 
 def _random_batchable_config(rng: random.Random, gates, placement: Placement):
@@ -91,21 +83,18 @@ def run_trial(seed: int) -> None:
         expected.append(masked.to_dict())
 
     batch_size = rng.choice([1, 3, 8, len(points)])
-    for engine in _engines():
-        # Whole batch in one call...
-        out = simulate_batch(points, engine=engine)
-        assert [r.to_dict() for r in out] == expected, (
-            f"engine={engine!r} diverged on the full batch"
-        )
-        # ...and chunked into sub-batches of the trial's random size.
-        chunked = []
-        for start in range(0, len(points), batch_size):
-            chunked.extend(
-                simulate_batch(points[start:start + batch_size], engine=engine)
-            )
-        assert [r.to_dict() for r in chunked] == expected, (
-            f"engine={engine!r} diverged at batch_size={batch_size}"
-        )
+    # Whole batch in one call...
+    out = simulate_batch(points)
+    assert [r.to_dict() for r in out] == expected, (
+        "simulate_batch diverged on the full batch"
+    )
+    # ...and chunked into sub-batches of the trial's random size.
+    chunked = []
+    for start in range(0, len(points), batch_size):
+        chunked.extend(simulate_batch(points[start:start + batch_size]))
+    assert [r.to_dict() for r in chunked] == expected, (
+        f"simulate_batch diverged at batch_size={batch_size}"
+    )
 
 
 def test_differential_fuzz(request):
@@ -137,8 +126,8 @@ def test_harness_detects_divergence(monkeypatch):
     """The harness itself must fail loudly if an engine ever lies."""
     from repro.routing.batchsim import simulate_batch as real
 
-    def corrupted(requests, engine="auto"):
-        results = real(requests, engine=engine)
+    def corrupted(requests):
+        results = real(requests)
         if results and results[0].gate_start:
             results[0].gate_start[0] += 1
         return results

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import pytest
 
@@ -111,6 +112,20 @@ class TestResultStoreBasics:
         store.put(request, Pipeline().evaluate(request))
         assert store.contains(request)
         assert (store.hits, store.misses) == (0, 0)
+
+    def test_peek_moves_no_counter_and_warns_about_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        request = a_request()
+        evaluation = Pipeline().evaluate(request)
+        fingerprint = store.put(request, evaluation)
+        before = store.counters()
+        assert store.peek(request).to_dict() == evaluation.to_dict()
+        store.path_for(fingerprint).write_text("{not json", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.peek(request) is None
+            assert not store.contains(request)
+        assert store.counters() == before
 
     def test_payload_carries_provenance_metadata(self, tmp_path):
         store = ResultStore(tmp_path / "store")
